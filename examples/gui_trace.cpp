@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   const char* trace_out = nullptr;
   const char* metrics_out = nullptr;
   bool async_queue = false;
-  size_t queue_consumers = 1;
+  queue::QueueOptions queue_options;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--async-queue") == 0) {
       async_queue = true;
     } else if (std::strncmp(argv[i], "--queue-consumers=", 18) == 0) {
-      queue_consumers = static_cast<size_t>(std::strtoul(argv[i] + 18, nullptr, 10));
+      queue_options.consumers = static_cast<size_t>(std::strtoul(argv[i] + 18, nullptr, 10));
     }
   }
 
@@ -84,8 +84,6 @@ int main(int argc, char** argv) {
   if (metrics_out != nullptr) {
     options.metrics_mode = metrics::MetricsMode::kFull;
   }
-  options.async_queue = async_queue;
-  options.queue_consumers = queue_consumers;
   runtime::Runtime tesla_rt(options);
   runtime::ThreadContext ctx(tesla_rt);
 
@@ -107,9 +105,8 @@ int main(int argc, char** argv) {
   // after Install(): consumer shard ownership is computed from the
   // compiled plan.
   std::unique_ptr<queue::EventQueue> queue;
-  if (options.async_queue) {
-    queue = std::make_unique<queue::EventQueue>(
-        tesla_rt, queue::QueueOptions::FromRuntime(options));
+  if (async_queue) {
+    queue = std::make_unique<queue::EventQueue>(tesla_rt, queue_options);
     queue->Start();
   }
 

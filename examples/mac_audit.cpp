@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   const char* profile_out = nullptr;
   const char* plan_hints = nullptr;
   bool async_queue = false;
-  size_t queue_consumers = 1;
+  queue::QueueOptions queue_options;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--async-queue") == 0) {
       async_queue = true;
     } else if (std::strncmp(argv[i], "--queue-consumers=", 18) == 0) {
-      queue_consumers = static_cast<size_t>(std::strtoul(argv[i] + 18, nullptr, 10));
+      queue_options.consumers = static_cast<size_t>(std::strtoul(argv[i] + 18, nullptr, 10));
     }
   }
 
@@ -118,8 +118,6 @@ int main(int argc, char** argv) {
   if (metrics_out != nullptr) {
     options.metrics_mode = metrics::MetricsMode::kFull;
   }
-  options.async_queue = async_queue;
-  options.queue_consumers = queue_consumers;
   if (profile_out != nullptr) {
     options.profile = true;
   }
@@ -150,8 +148,8 @@ int main(int argc, char** argv) {
   // consumer shard ownership is computed from the compiled plan. Flush() is
   // the checkpoint barrier before each violation-count read below.
   std::unique_ptr<queue::EventQueue> queue;
-  if (options.async_queue && shm_name == nullptr) {
-    queue = std::make_unique<queue::EventQueue>(rt, queue::QueueOptions::FromRuntime(options));
+  if (async_queue && shm_name == nullptr) {
+    queue = std::make_unique<queue::EventQueue>(rt, queue_options);
     queue->Start();
   }
 
@@ -159,8 +157,7 @@ int main(int argc, char** argv) {
   // which owns the verdicts. Local violation counts stay zero by design.
   std::unique_ptr<ipc::ShmPublisher> publisher;
   if (shm_name != nullptr) {
-    publisher = std::make_unique<ipc::ShmPublisher>(
-        rt, shm_name, ipc::PublisherOptions::FromRuntime(options));
+    publisher = std::make_unique<ipc::ShmPublisher>(rt, shm_name, ipc::PublisherOptions{});
     if (auto status = publisher->Start("kernelsim:all"); !status.ok()) {
       std::fprintf(stderr, "shm publisher: %s\n", status.error().ToString().c_str());
       return 1;

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   bool bug = false;
   bool storm = false;
   bool async_queue = false;
-  size_t queue_consumers = 1;
+  queue::QueueOptions queue_options;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--bug") == 0) {
       bug = true;
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--async-queue") == 0) {
       async_queue = true;
     } else if (std::strncmp(argv[i], "--queue-consumers=", 18) == 0) {
-      queue_consumers = static_cast<size_t>(std::strtoul(argv[i] + 18, nullptr, 10));
+      queue_options.consumers = static_cast<size_t>(std::strtoul(argv[i] + 18, nullptr, 10));
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
@@ -100,8 +100,6 @@ int main(int argc, char** argv) {
   runtime::RuntimeOptions options;
   options.fail_stop = false;
   options.now_ns = [] { return clock_ns; };
-  options.async_queue = async_queue;
-  options.queue_consumers = queue_consumers;
   if (trace_out != nullptr) {
     options.trace_mode = trace::TraceMode::kFullCapture;
   }
@@ -123,8 +121,8 @@ int main(int argc, char** argv) {
   rt.AddHandler(&slo);
 
   std::unique_ptr<queue::EventQueue> queue;
-  if (options.async_queue) {
-    queue = std::make_unique<queue::EventQueue>(rt, queue::QueueOptions::FromRuntime(options));
+  if (async_queue) {
+    queue = std::make_unique<queue::EventQueue>(rt, queue_options);
     queue->Start();
   }
 

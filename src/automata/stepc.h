@@ -1,5 +1,5 @@
-// Step-function lowering: the per-class tables every compiled stepping tier
-// consumes (see runtime/step.h for the tiers themselves).
+// Step-function lowering: the per-class tables the compiled stepping tiers
+// consume (see runtime/step.h for the tiers themselves).
 //
 // An automaton is frozen once its class registers — Finalize() and
 // Determinize() have run and neither the alphabet nor the transition relation
@@ -17,9 +17,9 @@
 //                     of `set` on `s` is the union of targets[s][i] over the
 //                     bits i of (set & sources[s]).
 //   * `symbol_edges` — the DFA edges grouped per symbol, dead symbols (no
-//                     edge anywhere) pruned: the threaded tier collapses a
-//                     single-edge symbol to one compare instead of a row
-//                     load, and the IR emitter walks the same lists.
+//                     edge anywhere) pruned: the IR emitter (ir/stepemit.h)
+//                     collapses a single-edge symbol to one compare instead
+//                     of a row.
 //
 // `single_symbol_steps` records the key shape fact: a class with no
 // incallstack() patterns is only ever stepped on one symbol at a time (site

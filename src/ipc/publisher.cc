@@ -27,17 +27,6 @@ thread_local LocalLaneCache local_lane;
 
 }  // namespace
 
-PublisherOptions PublisherOptions::FromRuntime(const runtime::RuntimeOptions& options) {
-  PublisherOptions publisher;
-  publisher.lanes = static_cast<uint32_t>(
-      options.shm_lanes < 1 ? 1
-                            : (options.shm_lanes > kShmMaxLanes ? kShmMaxLanes
-                                                                : options.shm_lanes));
-  publisher.lane_capacity_events = options.shm_lane_capacity;
-  publisher.drop_on_full = options.shm_drop_on_full;
-  return publisher;
-}
-
 ShmPublisher::ShmPublisher(runtime::Runtime& rt, std::string shm_name,
                            PublisherOptions options)
     : rt_(rt),

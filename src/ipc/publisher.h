@@ -47,8 +47,6 @@ struct PublisherOptions {
   // without this, a publisher that finishes its workload before the sidecar
   // attaches would unlink the name and strand the sidecar.
   bool wait_for_consumer = true;
-
-  static PublisherOptions FromRuntime(const runtime::RuntimeOptions& options);
 };
 
 struct PublisherStats {

@@ -8,9 +8,8 @@
 //
 // over the class's DFA: a branch chain over the live symbols (dead symbols
 // fall straight through to the miss return), then per symbol either a
-// compare chain over its edges (few edges — the same single-transition
-// collapse the threaded bytecode tier applies) or the full row as nested
-// compares. Running it under ir::Interpreter must agree with Dfa::Step on
+// compare chain over its edges (few edges; a single-transition symbol is
+// one compare) or the full row as nested compares. Running it under ir::Interpreter must agree with Dfa::Step on
 // every (state, symbol) pair — the differential tests drive exactly that,
 // which pins the runtime's table lowering to an executable, inspectable
 // specification.

@@ -31,15 +31,6 @@ uint64_t ThreadCpuNs() {
 
 }  // namespace
 
-QueueOptions QueueOptions::FromRuntime(const runtime::RuntimeOptions& options) {
-  QueueOptions queue;
-  queue.on_full = options.queue_drop_on_full ? OnFull::kDrop : OnFull::kBlock;
-  queue.ring_capacity = options.queue_ring_capacity;
-  queue.batch_events = options.queue_batch_events;
-  queue.consumers = options.queue_consumers;
-  return queue;
-}
-
 EventQueue::Producer::Producer(size_t capacity, std::thread::id id,
                                uint32_t index, size_t consumers)
     : ring(capacity), owner(id), index(index) {

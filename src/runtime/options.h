@@ -1,4 +1,9 @@
 // libtesla configuration, violation reports and statistics.
+//
+// RuntimeOptions holds only what the runtime itself reads. The ingestion
+// front-ends layered above it carry their own knobs: queue::QueueOptions
+// (async drain threads, src/queue) and ipc::PublisherOptions (shm sidecar
+// publication, src/ipc).
 #ifndef TESLA_RUNTIME_OPTIONS_H_
 #define TESLA_RUNTIME_OPTIONS_H_
 
@@ -20,23 +25,19 @@ namespace tesla::runtime {
 using MemoryReader = std::function<bool(int64_t address, int64_t* value)>;
 
 // How a registered class's step function executes (see runtime/step.h and
-// DESIGN.md "Stepping tiers"). Every tier is semantically identical —
+// DESIGN.md "Stepping tiers"). Both tiers are semantically identical —
 // verdicts, RuntimeStats and coverage bitmaps are bit-for-bit equal; the
 // differential tests enforce it — so the knob is purely a speed/ablation
 // choice.
 enum class StepTier : uint8_t {
   // The reference walk: per-state edge vectors for NFA simulation,
-  // Dfa::Step for the use_dfa ablation. The seed's algorithm.
+  // Dfa::Step for the use_dfa ablation. The seed's algorithm, kept as the
+  // differential oracle and as the step-kernel ablation.
   kInterpreted = 0,
-  // A threaded interpreter over compact per-class bytecode: dead symbols
-  // pruned, single-transition symbols collapsed to one compare, dense rows
-  // inlined as immediates. Computed-goto dispatch where the compiler
-  // supports it.
-  kThreaded = 1,
   // Per-shape specialised kernels picked at Register() time: branchless
   // table lookups for DFA-trackable classes (table-in-registers for small
   // automata), mask-and-union tables for incallstack() classes.
-  kSpecialised = 2,
+  kSpecialised = 1,
 };
 
 struct RuntimeOptions {
@@ -67,8 +68,8 @@ struct RuntimeOptions {
   // checks the probe decision stays monotone in the population.
   size_t index_min_population = 8;
 
-  // Step-function execution tier (see StepTier). The default is the best
-  // available: per-class specialised kernels, compiled at Register() time.
+  // Step-function execution tier (see StepTier). The default is the fast
+  // one: per-class specialised kernels, compiled at Register() time.
   StepTier step_tier = StepTier::kSpecialised;
 
   // Instances preallocated per event-serialisation context (§4.4.1:
@@ -94,43 +95,6 @@ struct RuntimeOptions {
   size_t trace_capture_limit = 1 << 20;
   // Events shown in a violation's temporal backtrace.
   size_t trace_backtrace_events = 16;
-
-  // Asynchronous ingestion (src/queue, layered above the runtime): when
-  // async_queue is set, frontends construct an EventQueue over this runtime
-  // so instrumented callers pay only an SPSC-ring enqueue and one consumer
-  // thread runs all dispatch. The knobs live here so one options struct
-  // configures a whole run (the runtime itself never reads them; see
-  // queue::QueueOptions::FromRuntime).
-  bool async_queue = false;
-  // Per-producer ring slots (rounded up to a power of two).
-  size_t queue_ring_capacity = 4096;
-  // Max events per consumer Runtime::OnEvents() batch.
-  size_t queue_batch_events = 256;
-  // Full-ring policy: false blocks the producer (lossless), true drops the
-  // event and counts it (RuntimeStats::queue_drops).
-  bool queue_drop_on_full = false;
-  // Drain threads. Each consumer owns the global shards whose index is
-  // congruent to it modulo the consumer count (see Runtime shard ownership):
-  // owned shards skip their spinlock on the drain hot path. 1 reproduces the
-  // original single-consumer queue.
-  size_t queue_consumers = 1;
-
-  // Cross-process publication (src/ipc, layered above the runtime like the
-  // async queue): when shm_publish names a POSIX shm segment, frontends
-  // construct a ShmPublisher over this runtime so every event is shipped to
-  // an external sidecar checker (`tesla-trace attach <name>`) instead of
-  // being dispatched in-process. The runtime itself never reads these; see
-  // ipc::PublisherOptions::FromRuntime.
-  std::string shm_publish;
-  // SPSC lanes in the segment — the max producer threads that can publish
-  // concurrently (threads beyond this drop events, counted in the header).
-  size_t shm_lanes = 8;
-  // Per-lane capacity in events (worst-case records; rounded up to a power
-  // of two of words).
-  size_t shm_lane_capacity = 1 << 14;
-  // Full-lane policy: false blocks the producer until the sidecar drains
-  // (lossless), true drops the event and counts it.
-  bool shm_drop_on_full = false;
 
   // Continuous observability (src/metrics). kCounters keeps per-class
   // counters and the transition-coverage bitmap (a few ns/event, sharded
@@ -222,9 +186,9 @@ const char* ViolationKindName(ViolationKind kind);
 //   * queue_* — the tesla::queue async ingestion front-end: events
 //     delivered through consumer batches, events dropped at enqueue under
 //     the drop policy, and OnEvents batches dispatched. With multiple drain
-//     threads (queue_consumers > 1) these are sums over every consumer —
-//     queue_batches in particular counts each consumer's OnEvents calls, so
-//     it is a per-consumer sum, not a single thread's cadence.
+//     threads (QueueOptions::consumers > 1) these are sums over every
+//     consumer — queue_batches in particular counts each consumer's OnEvents
+//     calls, so it is a per-consumer sum, not a single thread's cadence.
 //   * queue_forwards / queue_steals — multi-consumer routing: records
 //     forwarded to the consumer owning a touched shard, and whole batches
 //     stolen from a skewed producer's ring by an idle consumer.

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "automata/dot.h"
 #include "automata/stepc.h"
@@ -41,6 +42,94 @@ class Runtime::ShardGuard {
  private:
   const Runtime& rt_;
   GlobalShard* shard_;
+};
+
+// Claims the shards in `mask` for a whole batch, in ascending index order
+// (concurrent batches on other threads claim in the same order, so there is
+// no cycle). With `owner_fast`, a consumer-owned shard takes the owner fast
+// path — no lock when no intruder is present (the Dekker pairing documented
+// on GlobalShard); the caller guarantees no other thread owner-claims the
+// same shard concurrently. Every other shard runs the intruder protocol,
+// correct whether it is consumer-owned or plain locked. While the claim is
+// held, ShardHeld() elides the per-event ShardGuard acquisitions. The
+// destructor releases everything and restores the previous engagement even
+// when a violation handler throws out of dispatch — a leaked shard lock (or
+// stale engagement bits marking shards as held that aren't) deadlocks every
+// later dispatch.
+class Runtime::ShardClaim {
+ public:
+  ShardClaim(const Runtime& rt, uint64_t mask, bool owner_fast)
+      : rt_(rt), mask_(mask), prev_runtime_(engaged_runtime_), prev_shards_(engaged_shards_) {
+    for (uint64_t rest = mask_; rest != 0; rest &= rest - 1) {
+      const uint32_t s = static_cast<uint32_t>(std::countr_zero(rest));
+      GlobalShard& shard = *rt_.shards_[s];
+      if (owner_fast && shard.owner_id.load(std::memory_order_relaxed) >= 0) {
+        shard.owner_active.store(true, std::memory_order_seq_cst);
+        if (shard.intruders.load(std::memory_order_seq_cst) == 0) {
+          continue;
+        }
+        // Retreat before blocking, or a spinning intruder deadlocks.
+        shard.owner_active.store(false, std::memory_order_release);
+      }
+      rt_.LockShardAsIntruder(shard);
+      locked_ |= uint64_t{1} << s;
+    }
+    engaged_runtime_ = &rt_;
+    engaged_shards_ = mask_;
+  }
+  ~ShardClaim() {
+    engaged_runtime_ = prev_runtime_;
+    engaged_shards_ = prev_shards_;
+    for (uint64_t rest = mask_; rest != 0; rest &= rest - 1) {
+      const uint32_t s = static_cast<uint32_t>(std::countr_zero(rest));
+      GlobalShard& shard = *rt_.shards_[s];
+      if (((locked_ >> s) & 1) != 0) {
+        rt_.UnlockShardAsIntruder(shard);
+      } else {
+        shard.owner_active.store(false, std::memory_order_release);
+      }
+    }
+  }
+
+  ShardClaim(const ShardClaim&) = delete;
+  ShardClaim& operator=(const ShardClaim&) = delete;
+
+ private:
+  const Runtime& rt_;
+  const uint64_t mask_;
+  uint64_t locked_ = 0;
+  const Runtime* const prev_runtime_;
+  const uint64_t prev_shards_;
+};
+
+// Publishes a DispatchScope on this thread for the duration of one dispatch
+// call, restoring any outer frame so a handler re-entering dispatch cannot
+// inherit a stale scope. A null scope publishes nothing: an unscoped call
+// runs under whatever scope (usually none) is already active.
+class Runtime::ScopeFrame {
+ public:
+  ScopeFrame(const Runtime& rt, const DispatchScope* scope) : scope_(scope) {
+    if (scope_ != nullptr) {
+      prev_runtime_ = scope_runtime_;
+      prev_scope_ = active_scope_;
+      scope_runtime_ = &rt;
+      active_scope_ = scope_;
+    }
+  }
+  ~ScopeFrame() {
+    if (scope_ != nullptr) {
+      scope_runtime_ = prev_runtime_;
+      active_scope_ = prev_scope_;
+    }
+  }
+
+  ScopeFrame(const ScopeFrame&) = delete;
+  ScopeFrame& operator=(const ScopeFrame&) = delete;
+
+ private:
+  const DispatchScope* const scope_;
+  const Runtime* prev_runtime_ = nullptr;
+  const DispatchScope* prev_scope_ = nullptr;
 };
 
 const char* ViolationKindName(ViolationKind kind) {
@@ -869,6 +958,52 @@ void Runtime::GrowClassStates(ThreadContext& storage) {
 
 // --- the unified event entry point ---
 
+// Always inlined into its three entry points, so each gets the loop
+// specialised to its own shape: OnEvent's copy folds to the single-event
+// path (no frame, no claim, no scope), the batch entry points keep the rest.
+// As an out-of-line call it added ~5% to bench_e2e's oltp_inline slowdown.
+[[gnu::always_inline]] inline void Runtime::Dispatch(ThreadContext& ctx,
+                                                     std::span<const Event> events,
+                                                     const DispatchScope* scope) {
+  if (events.empty()) {
+    return;
+  }
+  if (scope == nullptr || scope->context) {
+    // Only the context stage may grow the producer's context: the plan is
+    // frozen before consumers run, so this is a no-op in steady state, and
+    // the shard stage must not write another consumer's home context.
+    EnsurePlanCapacity(ctx);
+  }
+  ScopeFrame frame(*this, scope);
+  // The per-call facts: fixed for the whole call, so every event's
+  // bookkeeping tests them once here instead of re-deriving them.
+  const bool context_stage = ScopeContext();
+  const bool record = context_stage && recorder_ != nullptr && ctx.trace_ != nullptr;
+  const bool timed = context_stage && time_dispatch_ && ctx.metrics_ != nullptr;
+  if (scope == nullptr && events.size() == 1) {
+    // A single unscoped event (OnEvent's steady state) pays for neither a
+    // stats frame nor an up-front claim: its counters go straight to the
+    // shared stats and its shards are taken per event by ShardGuard.
+    DispatchEvent(ctx, events.front(), context_stage, record, timed);
+    return;
+  }
+  // Batch the stats alongside the claim: every Bump in the batch becomes a
+  // plain add into a thread-local frame, flushed once on exit (StatsBatch).
+  StatsBatch stats_batch(*this);
+  // Claim the shards this call may touch once for the whole batch. Shards
+  // a consumer owns take the owner fast path only under a scope (the queue
+  // routed them to this consumer); unscoped callers intrude like everyone
+  // else. No global classes: both masks are empty and nothing is claimed.
+  const uint64_t mask = AllowedShardMask() & (pinned_shard_mask_ | unpinned_shard_mask_);
+  std::optional<ShardClaim> claim;
+  if (mask != 0 && engaged_runtime_ != this) {
+    claim.emplace(*this, mask, scope != nullptr);
+  }
+  for (const Event& event : events) {
+    DispatchEvent(ctx, event, context_stage, record, timed);
+  }
+}
+
 void Runtime::OnEvent(ThreadContext& ctx, const Event& event) {
   // Producer-side stamping: with timed clauses registered, the monotonic
   // clock is read once, here, *before* the ingest hook can queue the event —
@@ -890,188 +1025,16 @@ void Runtime::OnEvent(ThreadContext& ctx, const Event& event) {
       return;
     }
   }
-  EnsurePlanCapacity(ctx);
-  DispatchEvent(ctx, event);
+  Dispatch(ctx, {&event, 1}, nullptr);
 }
 
 void Runtime::OnEvents(ThreadContext& ctx, std::span<const Event> events) {
-  if (events.empty()) {
-    return;
-  }
-  EnsurePlanCapacity(ctx);
-  // Batch the stats alongside the locks: every Bump in the batch becomes a
-  // plain add into a thread-local frame, flushed once on exit (StatsBatch).
-  StatsBatch stats_batch(*this);
-  // With no flight recorder, no dispatch timing and no active scope, every
-  // event's DispatchEvent prologue is the same few checks — hoist them out
-  // of the loop (DispatchBatchPlain). The three inputs are fixed for the
-  // runtime/context lifetime, so one test covers the whole batch.
-  const bool plain = ActiveScope() == nullptr &&
-                     (recorder_ == nullptr || ctx.trace_ == nullptr) &&
-                     !(time_dispatch_ && ctx.metrics_ != nullptr);
-  if (any_global_ && engaged_runtime_ != this) {
-    // Take every shard once for the whole batch, in ascending order
-    // (concurrent batches on other threads acquire in the same order, so
-    // there is no cycle), running the intruder protocol on each — correct
-    // whether a shard is consumer-owned or plain locked. The per-event
-    // acquisitions inside DispatchEvent see ShardHeld() and elide
-    // themselves. The guard releases in reverse order and clears the
-    // engagement even when a violation handler throws out of DispatchEvent
-    // — a leaked shard lock (or stale engagement bits marking shards as
-    // held that aren't) deadlocks every later dispatch.
-    struct BatchShardLocks {
-      Runtime& rt;
-      explicit BatchShardLocks(Runtime& runtime) : rt(runtime) {
-        for (auto& shard : rt.shards_) {
-          rt.LockShardAsIntruder(*shard);
-        }
-        Runtime::engaged_runtime_ = &rt;
-        Runtime::engaged_shards_ = ~uint64_t{0};
-      }
-      ~BatchShardLocks() {
-        Runtime::engaged_runtime_ = nullptr;
-        Runtime::engaged_shards_ = 0;
-        for (auto it = rt.shards_.rbegin(); it != rt.shards_.rend(); ++it) {
-          rt.UnlockShardAsIntruder(**it);
-        }
-      }
-    };
-    BatchShardLocks locks(*this);
-    if (plain) {
-      DispatchBatchPlain(ctx, events);
-    } else {
-      for (const Event& event : events) {
-        DispatchEvent(ctx, event);
-      }
-    }
-    return;
-  }
-  if (plain) {
-    DispatchBatchPlain(ctx, events);
-  } else {
-    for (const Event& event : events) {
-      DispatchEvent(ctx, event);
-    }
-  }
-}
-
-void Runtime::DispatchBatchPlain(ThreadContext& ctx, std::span<const Event> events) {
-  // The whole batch is counted up front (one Bump instead of one per event);
-  // a violation handler observing stats mid-batch sees the batch's event
-  // count already applied, which is the documented batch semantics.
-  Bump(stats_.events, events.size());
-  for (const Event& event : events) {
-    if (event.truncated) [[unlikely]] {
-      Bump(stats_.arg_truncations);
-    }
-    if (any_timed_) [[unlikely]] {
-      current_event_ts_ = event.ts_ns != 0 ? event.ts_ns : NowNs();
-      if (current_event_ts_ < ctx.timed_now_) {
-        Bump(stats_.clock_regressions);
-      }
-      TimedTick(ctx, current_event_ts_);
-    }
-    switch (event.kind) {
-      case EventKind::kFunctionCall:
-      case EventKind::kFunctionReturn:
-        ProcessFunctionEvent(ctx, event);
-        break;
-      case EventKind::kFieldStore:
-        ProcessFieldEvent(ctx, event);
-        break;
-      case EventKind::kAssertionSite:
-        ProcessSiteEvent(ctx, event);
-        break;
-    }
-  }
+  Dispatch(ctx, events, nullptr);
 }
 
 void Runtime::OnEventsScoped(ThreadContext& ctx, std::span<const Event> events,
                              const DispatchScope& scope) {
-  if (events.empty()) {
-    return;
-  }
-  if (scope.context) {
-    // Only the context stage may grow the producer's context: the plan is
-    // frozen before consumers run, so this is a no-op in steady state, and
-    // the shard stage must not write another consumer's home context.
-    EnsurePlanCapacity(ctx);
-  }
-  // Batch the stats for the whole scoped pass (see StatsBatch).
-  StatsBatch stats_batch(*this);
-  // Publish the scope for the duration (restoring any outer frame so a
-  // handler re-entering dispatch cannot inherit a stale scope).
-  struct ScopeFrame {
-    const Runtime* prev_runtime;
-    const DispatchScope* prev_scope;
-    ScopeFrame(const Runtime& rt, const DispatchScope& scope)
-        : prev_runtime(scope_runtime_), prev_scope(active_scope_) {
-      scope_runtime_ = &rt;
-      active_scope_ = &scope;
-    }
-    ~ScopeFrame() {
-      scope_runtime_ = prev_runtime;
-      active_scope_ = prev_scope;
-    }
-  };
-  ScopeFrame frame(*this, scope);
-
-  const uint64_t mask = AllowedShardMask();
-  if (mask != 0 && engaged_runtime_ != this) {
-    // Claim the scope's shards for the whole batch, ascending. Shards this
-    // thread owns (the queue routed them here) are claimed with the owner
-    // fast path — no lock when no intruder is present; the rest (pinned
-    // shards in the context stage) run the intruder protocol. The caller
-    // guarantees no other thread owner-claims the same shard concurrently.
-    struct BatchOwnership {
-      Runtime& rt;
-      uint64_t mask;
-      uint64_t locked = 0;
-      BatchOwnership(Runtime& runtime, uint64_t m) : rt(runtime), mask(m) {
-        for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-          const uint32_t s = static_cast<uint32_t>(std::countr_zero(rest));
-          GlobalShard& shard = *rt.shards_[s];
-          if (shard.owner_id.load(std::memory_order_relaxed) < 0) {
-            rt.LockShardAsIntruder(shard);
-            locked |= uint64_t{1} << s;
-            continue;
-          }
-          // Owner fast claim: announce, then check for intruders (the
-          // Dekker pairing documented on GlobalShard).
-          shard.owner_active.store(true, std::memory_order_seq_cst);
-          if (shard.intruders.load(std::memory_order_seq_cst) != 0) {
-            // Retreat before blocking, or a spinning intruder deadlocks.
-            shard.owner_active.store(false, std::memory_order_release);
-            rt.LockShardAsIntruder(shard);
-            locked |= uint64_t{1} << s;
-          }
-        }
-        Runtime::engaged_runtime_ = &rt;
-        Runtime::engaged_shards_ = mask;
-      }
-      ~BatchOwnership() {
-        Runtime::engaged_runtime_ = nullptr;
-        Runtime::engaged_shards_ = 0;
-        for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-          const uint32_t s = static_cast<uint32_t>(std::countr_zero(rest));
-          GlobalShard& shard = *rt.shards_[s];
-          if (((locked >> s) & 1) != 0) {
-            rt.UnlockShardAsIntruder(shard);
-          } else {
-            shard.owner_active.store(false, std::memory_order_release);
-          }
-        }
-      }
-    };
-    BatchOwnership ownership(*this, mask);
-    for (const Event& event : events) {
-      DispatchEvent(ctx, event);
-    }
-    return;
-  }
-  for (const Event& event : events) {
-    DispatchEvent(ctx, event);
-  }
+  Dispatch(ctx, events, &scope);
 }
 
 uint64_t Runtime::ShardStageMask(const Event& event) const {
@@ -1097,11 +1060,11 @@ uint64_t Runtime::ShardStageMask(const Event& event) const {
   return 0;
 }
 
-void Runtime::DispatchEvent(ThreadContext& ctx, const Event& event) {
+void Runtime::DispatchEvent(ThreadContext& ctx, const Event& event, bool context_stage,
+                            bool record, bool timed) {
   // Event-level bookkeeping — the global event count, the flight recorder,
   // dispatch timing — happens exactly once per event, in the context stage
   // (a shard-stage pass of the same record skips it).
-  const bool context_stage = ScopeContext();
   if (any_timed_) [[unlikely]] {
     // Resolve the event clock once per event (the timed hooks read
     // current_event_ts_ instead of re-deriving it per class). The producer
@@ -1124,13 +1087,12 @@ void Runtime::DispatchEvent(ThreadContext& ctx, const Event& event) {
     if (event.truncated) {
       Bump(stats_.arg_truncations);
     }
-    if (recorder_ != nullptr && ctx.trace_ != nullptr) {
+    if (record) {
       recorder_->Record(*ctx.trace_, event);
     }
   }
   // kFull mode: two clock reads bracket the dispatch, bucketed per event
   // kind into the entry context's shard.
-  const bool timed = context_stage && time_dispatch_ && ctx.metrics_ != nullptr;
   uint64_t start_ns = 0;
   if (timed) {
     start_ns = NowNs();

@@ -244,12 +244,17 @@ class Runtime {
   void AccountQueueForwards(uint64_t forwards) { Bump(stats_.queue_forwards, forwards); }
   void AccountQueueSteals(uint64_t steals) { Bump(stats_.queue_steals, steals); }
 
-  // Batch ingestion: semantically identical to calling OnEvent once per
-  // element, but amortises the per-call overheads — plan-capacity checks run
-  // once, and when global automata are registered every shard lock is taken
-  // once for the whole batch instead of once per event (nested per-event
-  // acquisitions are elided via the batch-owner check). The replay path and
-  // event-queue front-ends feed this.
+  // Batch ingestion: semantically identical to dispatching each element
+  // through OnEvent — events are counted one at a time, so a violation
+  // handler reading stats() mid-batch sees exactly what OnEvent would show —
+  // but amortises the per-call overheads: plan-capacity checks run once,
+  // counters accumulate in a thread-local frame, and when global automata
+  // are registered every shard is claimed once for the whole batch instead
+  // of once per event (nested per-event acquisitions are elided via the
+  // batch-owner check). The batch entry points do not consult the ingest
+  // hook or stamp events (an unstamped event reads the clock at dispatch):
+  // they are the drain side's entry — the replay path, the event queue's
+  // consumers and the shm sidecar feed them.
   void OnEvents(ThreadContext& ctx, std::span<const Event> events);
 
   // Scope-restricted batch dispatch for the async queue's two-stage routing
@@ -554,21 +559,25 @@ class Runtime {
     return key < function_plan_.size() ? function_plan_[key].stack_slot : -1;
   }
 
-  // OnEvent minus the per-call capacity check: the shared core of the
-  // one-at-a-time and batch entry points (records to the flight recorder,
-  // then routes by kind).
-  void DispatchEvent(ThreadContext& ctx, const Event& event);
-  // The batch loop with DispatchEvent's per-event prologue hoisted out —
-  // valid only with no active scope, no flight recorder on this context and
-  // no dispatch timing (OnEvents checks once per batch).
-  void DispatchBatchPlain(ThreadContext& ctx, std::span<const Event> events);
+  // The one dispatch loop behind OnEvent, OnEvents and OnEventsScoped:
+  // publishes `scope` (null: unscoped), derives the per-call facts once,
+  // and — for anything but a single unscoped event — batches the stats and
+  // claims the reachable shards for the whole call (see ShardClaim).
+  void Dispatch(ThreadContext& ctx, std::span<const Event> events,
+                const DispatchScope* scope);
+  // One event's work under the per-call facts Dispatch derived: whether
+  // this pass is the context stage, whether it records to the flight
+  // recorder, and whether kFull timing brackets it. Ticks timed clauses,
+  // counts and records the event, then routes by kind.
+  void DispatchEvent(ThreadContext& ctx, const Event& event, bool context_stage, bool record,
+                     bool timed);
 
   void ProcessFunctionEvent(ThreadContext& ctx, const Event& event);
   void ProcessFieldEvent(ThreadContext& ctx, const Event& event);
   void ProcessSiteEvent(ThreadContext& ctx, const Event& event);
 
   // True when the calling thread already holds (locked or owner-claimed)
-  // `shard` via a batch entry point; per-event acquisitions must then be
+  // `shard` through a ShardClaim; per-event acquisitions must then be
   // elided (the spinlock is not recursive).
   bool ShardHeld(uint32_t shard) const {
     return engaged_runtime_ == this && ((engaged_shards_ >> shard) & 1) != 0;
@@ -610,6 +619,8 @@ class Runtime {
   void LockShardAsIntruder(GlobalShard& shard) const;
   void UnlockShardAsIntruder(GlobalShard& shard) const;
   class ShardGuard;
+  class ShardClaim;
+  class ScopeFrame;
 
   // Runs the registered metrics augmenter (if any) over `snapshot`.
   void AugmentSnapshot(metrics::Snapshot& snapshot) const;
@@ -887,9 +898,9 @@ class Runtime {
   mutable Spinlock augmenter_lock_;
   MetricsAugmenter metrics_augmenter_;
 
-  // The runtime whose batch entry point currently holds shards on this
-  // thread, and which shards (a bit per index). Thread-local so concurrent
-  // batches on other threads still serialise on the shards themselves.
+  // The runtime whose ShardClaim currently holds shards on this thread,
+  // and which shards (a bit per index). Thread-local so concurrent batches
+  // on other threads still serialise on the shards themselves.
   static thread_local const Runtime* engaged_runtime_;
   static thread_local uint64_t engaged_shards_;
   // The DispatchScope restricting dispatch on this thread (null: full) and
@@ -899,8 +910,8 @@ class Runtime {
   // The innermost open stats batch on this thread (see StatsBatch).
   static thread_local StatsFrame* stats_frame_;
   // The timestamp of the event currently being dispatched on this thread
-  // (set by DispatchEvent/DispatchBatchPlain when any_timed_; the timed
-  // hooks read it instead of re-deriving the clock per class).
+  // (set by DispatchEvent when any_timed_; the timed hooks read it instead
+  // of re-deriving the clock per class).
   static thread_local uint64_t current_event_ts_;
 };
 

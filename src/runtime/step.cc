@@ -5,14 +5,6 @@
 
 #include "runtime/coverage.h"
 
-// Computed-goto opcode dispatch for the threaded tier; the portable switch
-// below is the fallback.
-#if defined(__GNUC__) || defined(__clang__)
-#define TESLA_STEP_COMPUTED_GOTO 1
-#else
-#define TESLA_STEP_COMPUTED_GOTO 0
-#endif
-
 namespace tesla::runtime {
 namespace {
 
@@ -103,116 +95,6 @@ bool StepInterpreted(const StepProgram& p, metrics::Collector* collector, StateS
     }
     return true;
   }
-}
-
-// --- threaded tier: bytecode executor ---
-
-template <bool kCov>
-bool StepThreaded(const StepProgram& p, metrics::Collector* collector, StateSet& states,
-                  uint32_t& dfa_state, const uint16_t* symbols, size_t n, StateSet* from_out,
-                  uint16_t* symbol_out) {
-  const uint32_t* code = p.code.data();
-  const uint32_t* entry = p.entry.data();
-
-  if ((code[0] & 1u) != 0) {
-    // DFA-semantics program: first consumable symbol wins.
-    for (size_t i = 0; i < n; i++) {
-      const uint16_t symbol = symbols[i];
-      const uint32_t off = entry[symbol];
-      if (off == 0) {
-        continue;  // dead symbol, pruned at assembly
-      }
-      const uint32_t* op = code + off;
-      uint32_t target = kNoTarget;
-#if TESLA_STEP_COMPUTED_GOTO
-      {
-        static const void* const kDispatch[] = {&&op_edge, &&op_chain, &&op_row};
-        goto* kDispatch[op[0] & 0xffu];
-      op_edge:
-        if (dfa_state == op[1]) {
-          target = op[2];
-        }
-        goto op_done;
-      op_chain: {
-        const uint32_t count = op[0] >> 8;
-        for (uint32_t e = 0; e < count; e++) {
-          if (op[1 + 2 * e] == dfa_state) {
-            target = op[2 + 2 * e];
-            break;
-          }
-        }
-        goto op_done;
-      }
-      op_row:
-        target = op[1 + dfa_state];
-      op_done:;
-      }
-#else
-      switch (op[0] & 0xffu) {
-        case kStepOpEdge:
-          if (dfa_state == op[1]) {
-            target = op[2];
-          }
-          break;
-        case kStepOpChain: {
-          const uint32_t count = op[0] >> 8;
-          for (uint32_t e = 0; e < count; e++) {
-            if (op[1 + 2 * e] == dfa_state) {
-              target = op[2 + 2 * e];
-              break;
-            }
-          }
-          break;
-        }
-        default:
-          target = op[1 + dfa_state];
-          break;
-      }
-#endif
-      if (target == kNoTarget) {
-        continue;
-      }
-      CommitDfaStep<kCov>(p, collector, states, dfa_state, symbol, target, from_out,
-                          symbol_out);
-      return true;
-    }
-    return false;
-  }
-
-  // NFA union program: every op is kStepOpNfa.
-  StateSet next = 0;
-  uint16_t stepped = n == 0 ? 0 : symbols[0];
-  for (size_t i = 0; i < n; i++) {
-    const uint16_t symbol = symbols[i];
-    const uint32_t off = entry[symbol];
-    if (off == 0) {
-      continue;
-    }
-    const uint32_t* op = code + off;
-    const StateSet mask =
-        static_cast<StateSet>(op[1]) | (static_cast<StateSet>(op[2]) << 32);
-    StateSet rest = states & mask;
-    if (rest == 0) {
-      continue;
-    }
-    const uint32_t* sets = op + 3;
-    StateSet result = 0;
-    do {
-      const int s = std::countr_zero(rest);
-      result |= static_cast<StateSet>(sets[2 * s]) |
-                (static_cast<StateSet>(sets[2 * s + 1]) << 32);
-      rest &= rest - 1;
-    } while (rest != 0);
-    if (result != 0 && next == 0) {
-      stepped = symbol;
-    }
-    next |= result;
-  }
-  if (next == 0) {
-    return false;
-  }
-  CommitNfaStep<kCov>(p, collector, states, dfa_state, stepped, next, from_out, symbol_out);
-  return true;
 }
 
 // --- specialised tier ---
@@ -336,55 +218,6 @@ void BuildPacked(StepProgram& p) {
   }
 }
 
-void AssembleBytecode(StepProgram& p,
-                      const std::vector<std::vector<automata::StepLowering::DfaEdge>>& edges,
-                      bool dfa_semantics) {
-  p.code = {dfa_semantics ? 1u : 0u, p.symbol_count, p.nfa_state_count};
-  p.entry.assign(p.symbol_count, 0);
-  for (uint32_t symbol = 0; symbol < p.symbol_count; symbol++) {
-    if (dfa_semantics) {
-      const auto& symbol_edges = edges[symbol];
-      if (symbol_edges.empty()) {
-        continue;  // dead symbol: entry offset 0
-      }
-      p.entry[symbol] = static_cast<uint32_t>(p.code.size());
-      if (symbol_edges.size() == 1) {
-        // Single-transition collapse: one compare instead of a row.
-        p.code.push_back(kStepOpEdge);
-        p.code.push_back(symbol_edges[0].from);
-        p.code.push_back(symbol_edges[0].to);
-      } else if (symbol_edges.size() <= 4) {
-        p.code.push_back(kStepOpChain | (static_cast<uint32_t>(symbol_edges.size()) << 8));
-        for (const auto& edge : symbol_edges) {
-          p.code.push_back(edge.from);
-          p.code.push_back(edge.to);
-        }
-      } else {
-        // Dense row inlined as immediates.
-        p.code.push_back(kStepOpRow | (p.dfa_state_count << 8));
-        for (uint32_t state = 0; state < p.dfa_state_count; state++) {
-          p.code.push_back(p.rows[static_cast<size_t>(state) * p.symbol_count + symbol]);
-        }
-      }
-    } else {
-      const StateSet mask = p.nfa_sources[symbol];
-      if (mask == 0) {
-        continue;
-      }
-      p.entry[symbol] = static_cast<uint32_t>(p.code.size());
-      p.code.push_back(kStepOpNfa | (p.nfa_state_count << 8));
-      p.code.push_back(static_cast<uint32_t>(mask));
-      p.code.push_back(static_cast<uint32_t>(mask >> 32));
-      for (uint32_t state = 0; state < p.nfa_state_count; state++) {
-        const StateSet target =
-            p.nfa_targets[static_cast<size_t>(symbol) * p.nfa_state_count + state];
-        p.code.push_back(static_cast<uint32_t>(target));
-        p.code.push_back(static_cast<uint32_t>(target >> 32));
-      }
-    }
-  }
-}
-
 }  // namespace
 
 StepProgram CompileStepProgram(const automata::Automaton& automaton, const automata::Dfa& dfa,
@@ -412,14 +245,6 @@ StepProgram CompileStepProgram(const automata::Automaton& automaton, const autom
         SetKernel<&StepInterpreted<true>>(p);
       } else {
         SetKernel<&StepInterpreted<false>>(p);
-      }
-      break;
-    case StepTier::kThreaded:
-      AssembleBytecode(p, lowering.symbol_edges, dfa_semantics);
-      if (options.coverage) {
-        SetKernel<&StepThreaded<true>>(p);
-      } else {
-        SetKernel<&StepThreaded<false>>(p);
       }
       break;
     case StepTier::kSpecialised:

@@ -1,5 +1,5 @@
 // Differential coverage for the compiled stepping tiers (runtime/step.h):
-// interpreted, threaded-bytecode and shape-specialised kernels must be
+// the interpreted reference and the shape-specialised kernels must be
 // semantically indistinguishable. Identical pseudo-random schedules drive one
 // runtime per tier and compare, after every event, the full RuntimeStats
 // schema (via the TESLA_RUNTIME_STATS X-macro, so a new counter is compared
@@ -39,15 +39,12 @@ using runtime::Violation;
 
 Symbol S(const char* name) { return InternString(name); }
 
-constexpr StepTier kAllTiers[] = {StepTier::kInterpreted, StepTier::kThreaded,
-                                  StepTier::kSpecialised};
+constexpr StepTier kAllTiers[] = {StepTier::kInterpreted, StepTier::kSpecialised};
 
 const char* TierName(StepTier tier) {
   switch (tier) {
     case StepTier::kInterpreted:
       return "interpreted";
-    case StepTier::kThreaded:
-      return "threaded";
     case StepTier::kSpecialised:
       return "specialised";
   }
@@ -135,7 +132,7 @@ struct TierSet {
 // Randomized lockstep schedules, one per kernel shape.
 
 // Small DFA-trackable class: the specialised tier takes the packed
-// (table-in-registers) kernel, the threaded tier a DFA-semantics program.
+// (table-in-registers) kernel.
 TEST(StepTier, SmallDfaClassAgrees) {
   TierSet tiers("TESLA_WITHIN(syscall, previously(check(x) == 0))");
 
@@ -171,8 +168,7 @@ TEST(StepTier, SmallDfaClassAgrees) {
 }
 
 // Wide alternation: ~19 DFA states exceed the packed kernel's budget, so the
-// specialised tier falls back to the flat-row kernel and the threaded tier
-// emits chain/row ops.
+// specialised tier falls back to the flat-row kernel.
 TEST(StepTier, WideAlternationAgrees) {
   TierSet tiers(
       "TESLA_WITHIN(syscall, previously(c0(x) == 0 || c1(x) == 0 || c2(x) == 0 || "
@@ -213,8 +209,7 @@ TEST(StepTier, WideAlternationAgrees) {
 }
 
 // incallstack() site variants force multi-symbol NFA stepping: the
-// specialised tier runs the mask-and-union kernel, the threaded tier the
-// NFA bytecode program.
+// specialised tier runs the mask-and-union kernel.
 TEST(StepTier, InCallStackClassAgrees) {
   TierSet tiers("TESLA_WITHIN(f, incallstack(g) || previously(a(x) == 0))");
 

@@ -417,6 +417,64 @@ TEST(BatchIngestion, ForensicsDuringBatchDoesNotDeadlock) {
   }
 }
 
+// Records stats().events at every violation report.
+class EventsAtViolation : public runtime::EventHandler {
+ public:
+  explicit EventsAtViolation(const Runtime& rt) : rt_(rt) {}
+  void OnViolation(const runtime::ClassInfo& cls, const runtime::Violation& violation) override {
+    seen.push_back(rt_.stats().events);
+  }
+  std::vector<uint64_t> seen;
+
+ private:
+  const Runtime& rt_;
+};
+
+// A violation handler reading stats() mid-batch must see what it would see
+// under OnEvent: the events up to and including the violating one, not the
+// whole batch counted up front. Three bounds of three events, each with a
+// violating site (no check before it), so the reports land on events 2, 5
+// and 8 — for a per-thread and a global class, with the flight recorder off
+// and on.
+TEST(BatchIngestion, ViolationHandlerSeesPerEventCounts) {
+  for (const char* source :
+       {"TESLA_WITHIN(syscall, previously(check(x) == 0))",
+        "TESLA_GLOBAL(call(syscall), returnfrom(syscall), previously(check(x) == 0))"}) {
+    for (trace::TraceMode mode : {trace::TraceMode::kOff, trace::TraceMode::kFlightRecorder}) {
+      SCOPED_TRACE(std::string(source) + (mode == trace::TraceMode::kOff ? "" : " (recorder)"));
+      std::vector<Event> events;
+      Binding site[] = {{0, 0}};
+      for (int round = 0; round < 3; round++) {
+        events.push_back(Event::Call(S("syscall"), {}));
+        events.push_back(Event::Site(0, site));
+        events.push_back(Event::Return(S("syscall"), {}, 0));
+      }
+      auto run = [&](bool batch) {
+        Runtime rt(TestOptions(mode));
+        auto automaton = CompileAssertion(source, {}, "counted");
+        EXPECT_TRUE(automaton.ok());
+        automata::Manifest manifest;
+        manifest.Add(std::move(automaton.value()));
+        EXPECT_TRUE(rt.Register(manifest).ok());
+        EventsAtViolation handler(rt);
+        rt.AddHandler(&handler);
+        ThreadContext ctx(rt);
+        if (batch) {
+          rt.OnEvents(ctx, events);
+        } else {
+          for (const Event& event : events) {
+            rt.OnEvent(ctx, event);
+          }
+        }
+        return handler.seen;
+      };
+      const std::vector<uint64_t> expected = {2, 5, 8};
+      EXPECT_EQ(run(false), expected);
+      EXPECT_EQ(run(true), expected);
+    }
+  }
+}
+
 // More satisfied incallstack() site variants than the (formerly fixed,
 // 17-slot) site-symbol buffer holds: the growable buffer must keep every
 // variant, so the schema-preserved truncation counter stays zero and no
