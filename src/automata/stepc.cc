@@ -19,20 +19,11 @@ StepLowering LowerStep(const Automaton& automaton, const Dfa& dfa) {
   low.rows.resize(static_cast<size_t>(low.dfa_state_count) * low.symbol_count,
                   Dfa::kNoTarget);
   low.dfa_sets.resize(low.dfa_state_count);
-  low.symbol_edges.resize(low.symbol_count);
   for (uint32_t state = 0; state < low.dfa_state_count; state++) {
     low.dfa_sets[state] = dfa.states[state].nfa_states;
     for (uint32_t symbol = 0; symbol < low.symbol_count; symbol++) {
-      const uint32_t target = dfa.states[state].transitions[symbol];
-      low.rows[static_cast<size_t>(state) * low.symbol_count + symbol] = target;
-      if (target != Dfa::kNoTarget) {
-        low.symbol_edges[symbol].push_back({state, target});
-      }
-    }
-  }
-  for (uint16_t symbol = 0; symbol < low.symbol_count; symbol++) {
-    if (!low.symbol_edges[symbol].empty()) {
-      low.live_symbols.push_back(symbol);
+      low.rows[static_cast<size_t>(state) * low.symbol_count + symbol] =
+          dfa.states[state].transitions[symbol];
     }
   }
 

@@ -16,10 +16,6 @@
 //   * `sources`/`targets` — the NFA step as mask-and-union tables: successor
 //                     of `set` on `s` is the union of targets[s][i] over the
 //                     bits i of (set & sources[s]).
-//   * `symbol_edges` — the DFA edges grouped per symbol, dead symbols (no
-//                     edge anywhere) pruned: the IR emitter (ir/stepemit.h)
-//                     collapses a single-edge symbol to one compare instead
-//                     of a row.
 //
 // `single_symbol_steps` records the key shape fact: a class with no
 // incallstack() patterns is only ever stepped on one symbol at a time (site
@@ -53,15 +49,6 @@ struct StepLowering {
   // symbol_count × nfa_state_count: targets[s * nfa_state_count + i] is the
   // successor set of NFA state i on symbol s (0 when no edge).
   std::vector<StateSet> targets;
-
-  struct DfaEdge {
-    uint32_t from = 0;
-    uint32_t to = 0;
-  };
-  // DFA edges grouped per symbol; a dead symbol's list is empty.
-  std::vector<std::vector<DfaEdge>> symbol_edges;
-  // Symbols with at least one DFA edge, ascending.
-  std::vector<uint16_t> live_symbols;
 
   uint32_t Row(uint32_t dfa_state, uint16_t symbol) const {
     return rows[static_cast<size_t>(dfa_state) * symbol_count + symbol];

@@ -1,8 +1,9 @@
 #include "ipc/merge.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
+
+#include "support/strings.h"
 
 namespace tesla::ipc {
 namespace {
@@ -34,38 +35,6 @@ Status CheckSameGrid(const metrics::ClassSnapshot& have, const metrics::ClassSna
     }
   }
   return Status::Ok();
-}
-
-void EscapeJson(const std::string& text, std::string* out) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", static_cast<unsigned char>(c));
-          *out += buffer;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-// Prometheus label values escape backslash, quote and newline.
-void EscapeLabel(const std::string& text, std::string* out) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default: *out += c;
-    }
-  }
 }
 
 }  // namespace
@@ -188,9 +157,9 @@ std::string FleetToJson(const FleetReport& report) {
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"kind\": \"";
     out += runtime::ViolationKindName(violation.kind);
-    out += "\", \"automaton\": \"";
-    EscapeJson(violation.automaton, &out);
-    out += "\", \"count\": " + std::to_string(violation.count) + "}";
+    out += "\", \"automaton\": ";
+    AppendJsonString(&out, violation.automaton);
+    out += ", \"count\": " + std::to_string(violation.count) + "}";
   }
   out += report.violations.empty() ? "],\n" : "\n  ],\n";
   out += "  \"metrics\": ";
@@ -232,7 +201,7 @@ std::string FleetToPrometheus(const FleetReport& report) {
       out += "tesla_fleet_violations_total{kind=\"";
       out += runtime::ViolationKindName(violation.kind);
       out += "\",automaton=\"";
-      EscapeLabel(violation.automaton, &out);
+      AppendPromLabel(&out, violation.automaton);
       out += "\"} " + std::to_string(violation.count) + "\n";
     }
   }

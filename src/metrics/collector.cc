@@ -1,5 +1,7 @@
 #include "metrics/collector.h"
 
+#include <algorithm>
+
 namespace tesla::metrics {
 
 const char* MetricsModeName(MetricsMode mode) {
@@ -38,10 +40,56 @@ uint64_t HistogramData::MaxNs() const {
   return 0;
 }
 
-Shard::Shard(size_t class_capacity, bool histograms) : class_capacity_(class_capacity) {
+namespace {
+
+uint64_t Load(const std::atomic<uint64_t>& word) {
+  return word.load(std::memory_order_relaxed);
+}
+uint64_t Load(uint64_t word) { return word; }
+
+// Combines one class-major word block of `stride` words per class (a
+// shard's atomics or the spill block, cells at their Slot) into `out`
+// (kClassStride words per class, schema order) per the schema: cells by
+// kCellMerge, partial-binding tallies summed, sketch words OR-ed. A
+// kCountersStride block has only the route and runtime cells.
+template <typename Word>
+void MergeWords(uint64_t* out, size_t classes, const Word* in, size_t stride) {
+  for (size_t c = 0; c < classes; c++) {
+    uint64_t* dst = out + c * kClassStride;
+    const Word* src = in + c * stride;
+    for (size_t i = 0; i < kCellCount; i++) {
+      const size_t slot = Slot(static_cast<Cell>(i));
+      if (slot >= stride) {
+        continue;
+      }
+      const uint64_t value = Load(src[slot]);
+      if (kCellMerge[i] == MergeRule::kMax) {
+        dst[i] = value > dst[i] ? value : dst[i];
+      } else {
+        dst[i] += value;
+      }
+    }
+    if (stride < kClassStride) {
+      continue;
+    }
+    for (size_t i = kVarPartialOffset; i < kSketchOffset; i++) {
+      dst[i] += Load(src[i]);
+    }
+    for (size_t i = kSketchOffset; i < kClassStride; i++) {
+      dst[i] |= Load(src[i]);
+    }
+  }
+}
+
+}  // namespace
+
+Shard::Shard(size_t class_capacity, bool counting, bool profiling, bool histograms)
+    : class_capacity_(class_capacity),
+      stride_(StrideFor(profiling)),
+      counting_(counting),
+      profiling_(profiling) {
   if (class_capacity_ > 0) {
-    counters_ =
-        std::make_unique<std::atomic<uint64_t>[]>(class_capacity_ * kClassCounterCount);
+    cells_ = std::make_unique<std::atomic<uint64_t>[]>(class_capacity_ * stride_);
   }
   if (histograms) {
     histograms_ = std::make_unique<Histogram[]>(kEventKinds);
@@ -50,7 +98,8 @@ Shard::Shard(size_t class_capacity, bool histograms) : class_capacity_(class_cap
 
 Shard* Collector::RegisterShard() {
   LockGuard<Spinlock> guard(lock_);
-  shards_.push_back(std::make_unique<Shard>(class_capacity_, histograms_enabled()));
+  shards_.push_back(std::make_unique<Shard>(class_capacity_, counting(), profiling_,
+                                            histograms_enabled()));
   return shards_.back().get();
 }
 
@@ -58,7 +107,7 @@ void Collector::EnsureClassCapacity(size_t count) {
   LockGuard<Spinlock> guard(lock_);
   if (count > class_capacity_) {
     class_capacity_ = count;
-    spill_.resize(count * kClassCounterCount, 0);
+    spill_.resize(count * kClassStride, 0);
   }
 }
 
@@ -70,32 +119,31 @@ void Collector::InstallCoverage(size_t bits) {
   coverage_bits_ = bits;
 }
 
-void Collector::BumpSpill(uint32_t class_id, ClassCounter kind, uint64_t amount) {
+void Collector::Spill(uint32_t class_id, Cell cell, uint64_t amount) {
   LockGuard<Spinlock> guard(lock_);
-  const size_t cell = class_id * kClassCounterCount + static_cast<size_t>(kind);
-  if (cell < spill_.size()) {
-    spill_[cell] += amount;
+  const size_t word = class_id * kClassStride + Slot(cell);
+  if (word >= spill_.size()) {
+    return;
+  }
+  if (kCellMerge[static_cast<size_t>(cell)] == MergeRule::kMax) {
+    spill_[word] = amount > spill_[word] ? amount : spill_[word];
+  } else {
+    spill_[word] += amount;
   }
 }
 
-void Collector::MergeCounters(size_t class_count, uint64_t* out) const {
-  const size_t cells = class_count * kClassCounterCount;
-  for (size_t i = 0; i < cells; i++) {
+void Collector::Merge(size_t class_count, uint64_t* out) const {
+  const size_t words = class_count * kClassStride;
+  for (size_t i = 0; i < words; i++) {
     out[i] = 0;
   }
   LockGuard<Spinlock> guard(lock_);
   for (const auto& shard : shards_) {
-    const size_t shard_cells =
-        (shard->class_capacity_ < class_count ? shard->class_capacity_ : class_count) *
-        kClassCounterCount;
-    for (size_t i = 0; i < shard_cells; i++) {
-      out[i] += shard->counters_[i].load(std::memory_order_relaxed);
-    }
+    MergeWords(out, std::min(shard->class_capacity_, class_count), shard->cells_.get(),
+               shard->stride_);
   }
-  const size_t spill_cells = spill_.size() < cells ? spill_.size() : cells;
-  for (size_t i = 0; i < spill_cells; i++) {
-    out[i] += spill_[i];
-  }
+  MergeWords(out, std::min(spill_.size() / kClassStride, class_count), spill_.data(),
+             kClassStride);
 }
 
 void Collector::MergeHistograms(HistogramData* out) const {
@@ -121,8 +169,8 @@ void Collector::MergeHistograms(HistogramData* out) const {
 void Collector::Reset() {
   LockGuard<Spinlock> guard(lock_);
   for (const auto& shard : shards_) {
-    for (size_t i = 0; i < shard->class_capacity_ * kClassCounterCount; i++) {
-      shard->counters_[i].store(0, std::memory_order_relaxed);
+    for (size_t i = 0; i < shard->class_capacity_ * shard->stride_; i++) {
+      shard->cells_[i].store(0, std::memory_order_relaxed);
     }
     if (shard->histograms_ != nullptr) {
       for (size_t kind = 0; kind < kEventKinds; kind++) {

@@ -1,71 +1,10 @@
 #include "metrics/snapshot.h"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <cstring>
+
+#include "support/strings.h"
 
 namespace tesla::metrics {
-namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buf, static_cast<size_t>(n) < sizeof(buf) ? static_cast<size_t>(n)
-                                                          : sizeof(buf) - 1);
-  }
-}
-
-// JSON string escaping (control characters, quote, backslash).
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendF(out, "\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-// Prometheus label-value escaping: backslash, double-quote and newline.
-void AppendPromLabel(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '\\' || c == '"') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (c == '\n') {
-      out->append("\\n");
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
-}  // namespace
 
 std::string ToJson(const Snapshot& snapshot) {
   std::string out;

@@ -4,12 +4,14 @@ namespace tesla::objsim {
 namespace {
 
 // Small deterministic work unit standing in for rasterisation.
+// The LCG runs in uint64_t: unsigned wrap-around is defined, and the bits are
+// the ones a two's-complement signed multiply would produce.
 int64_t DrawWork(int64_t seed) {
-  int64_t x = seed | 1;
+  uint64_t x = static_cast<uint64_t>(seed) | 1;
   for (int i = 0; i < 8; i++) {
-    x = x * 6364136223846793005ll + 1442695040888963407ll;
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
   }
-  return x;
+  return static_cast<int64_t>(x);
 }
 
 }  // namespace

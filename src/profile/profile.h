@@ -1,84 +1,38 @@
 // tesla::profile — the workload profiler's vocabulary.
 //
-// Where tesla::metrics answers "what did the runtime do" (counters the
-// operator watches), tesla::profile answers "what shape is the workload"
+// Where the metrics counters answer "what did the runtime do" (numbers the
+// operator watches), the profile answers "what shape is the workload"
 // (numbers the *plan compiler* consumes): per-class instance fan-out,
 // binding-key cardinality, and how often dispatch fell off the indexed fast
-// path onto a full scan. A profile is collected with the same single-writer
-// per-context shard discipline as the metrics collector (~ns/event), rides
-// the TSLATRC capture footer (v5), merges deterministically across fleet
+// path onto a full scan. Both are views of one per-class cell block,
+// recorded by metrics::Collector's single-writer per-context shards
+// (~ns/event) when RuntimeOptions::profile is on. A profile rides the
+// TSLATRC capture footer (v5), merges deterministically across fleet
 // shards, and feeds back into Register() as PlanHints — per-class capacity
 // and secondary-index decisions derived from data instead of global knobs.
 //
-// This header is the single source of truth for the per-class cell schema
-// (one X-macro drives the enum, the merge loops, the wire footer and both
-// exposition formats) and the distinct-key sketch layout.
+// This header names the profile view of the cell schema
+// (metrics/metrics.h): its leading kCellCount cells, in wire order, plus the
+// per-class partial-binding tallies and distinct-key sketches.
 #ifndef TESLA_PROFILE_PROFILE_H_
 #define TESLA_PROFILE_PROFILE_H_
 
 #include <cstddef>
 #include <cstdint>
 
+#include "metrics/metrics.h"
+
 namespace tesla::profile {
 
-// The per-class profile cell schema: X(name, help, deterministic, max_merge).
-//
-//   deterministic — 1 when a faithful re-run of the same per-class event
-//     order must reproduce the cell exactly (the differential tests compare
-//     these across sync / async-queue / multi-consumer dispatch); 0 for
-//     wall-clock cells that legitimately vary run to run.
-//   max_merge — 1 when shards/fleet captures combine by max (peaks), 0 for
-//     ordinary sums. Both rules are commutative and associative, so fleet
-//     merges are order-independent byte for byte.
-#define TESLA_PROFILE_CELLS(X)                                                 \
-  X(dispatches, "events dispatched to the class's instances", 1, 0)            \
-  X(index_probes, "dispatches served by one full-key index-bucket probe", 1, 0) \
-  X(prefix_probes, "dispatches served by the secondary prefix-key index", 1, 0) \
-  X(scan_fallbacks, "dispatches that fell back to a full instance scan", 1, 0) \
-  X(partial_bound, "scan fallbacks whose bindings covered only part of the key set", 1, 0) \
-  X(small_population, "scan fallbacks forced by the index_min_population gate", 1, 0) \
-  X(fanout_sum, "sum of live-instance populations sampled at dispatch", 1, 0)  \
-  X(fanout_peak, "largest live-instance population observed at dispatch", 1, 1) \
-  X(latency_ns, "sampled dispatch latency total, nanoseconds (wall clock)", 0, 0) \
-  X(latency_samples, "dispatch latency samples taken (1-in-64 sampling)", 0, 0) \
-  X(deadline_arms, "within_ms() deadlines armed for the class", 1, 0)          \
-  X(deadline_expiries, "within_ms() deadlines that expired for the class", 1, 0)
+using metrics::Cell;
+using metrics::kCellDeterministic;
+using metrics::kCellHelp;
+using metrics::kCellMerge;
+using metrics::kCellNames;
+using metrics::MergeRule;
 
-enum class Cell : uint8_t {
-#define TESLA_PROFILE_ENUM(name, help, det, mx) name,
-  TESLA_PROFILE_CELLS(TESLA_PROFILE_ENUM)
-#undef TESLA_PROFILE_ENUM
-};
-
-inline constexpr size_t kCellCount = 0
-#define TESLA_PROFILE_COUNT(name, help, det, mx) +1
-    TESLA_PROFILE_CELLS(TESLA_PROFILE_COUNT)
-#undef TESLA_PROFILE_COUNT
-    ;
-
-inline constexpr const char* kCellNames[kCellCount] = {
-#define TESLA_PROFILE_NAME(name, help, det, mx) #name,
-    TESLA_PROFILE_CELLS(TESLA_PROFILE_NAME)
-#undef TESLA_PROFILE_NAME
-};
-
-inline constexpr const char* kCellHelp[kCellCount] = {
-#define TESLA_PROFILE_HELP(name, help, det, mx) help,
-    TESLA_PROFILE_CELLS(TESLA_PROFILE_HELP)
-#undef TESLA_PROFILE_HELP
-};
-
-inline constexpr bool kCellDeterministic[kCellCount] = {
-#define TESLA_PROFILE_DET(name, help, det, mx) det != 0,
-    TESLA_PROFILE_CELLS(TESLA_PROFILE_DET)
-#undef TESLA_PROFILE_DET
-};
-
-inline constexpr bool kCellMaxMerge[kCellCount] = {
-#define TESLA_PROFILE_MAX(name, help, det, mx) mx != 0,
-    TESLA_PROFILE_CELLS(TESLA_PROFILE_MAX)
-#undef TESLA_PROFILE_MAX
-};
+// The profile view's width: cells [0, kCellCount) of the schema.
+inline constexpr size_t kCellCount = metrics::kProfileCellCount;
 
 // Distinct-key sketches: per tracked key variable, a 256-bit linear-counting
 // bitmap. A binding value hashes to one of m = 256 bits; the distinct-value
@@ -88,19 +42,11 @@ inline constexpr bool kCellMaxMerge[kCellCount] = {
 // plan compiler only needs "a handful vs hundreds", so a fixed 32-byte sketch
 // per variable beats per-value storage; merging two sketches is bitwise OR
 // (commutative, associative, idempotent — fleet-merge safe).
-inline constexpr size_t kSketchBits = 256;
-inline constexpr size_t kSketchWords = kSketchBits / 64;
+using metrics::kSketchBits;
+using metrics::kSketchWords;
 
 // Key variables tracked per class (sketch + partial-binding attribution).
-// Classes with more key variables profile only the first four in ascending
-// variable order; kMaxVariables is 16 but real assertions key on 1–3.
-inline constexpr size_t kMaxKeyVars = 4;
-
-// Per-class stride in a shard's cell block: the schema cells, one
-// partial-binding counter per tracked key variable, then the sketch words.
-inline constexpr size_t kVarPartialOffset = kCellCount;
-inline constexpr size_t kSketchOffset = kCellCount + kMaxKeyVars;
-inline constexpr size_t kClassStride = kCellCount + kMaxKeyVars + kMaxKeyVars * kSketchWords;
+using metrics::kMaxKeyVars;
 
 }  // namespace tesla::profile
 

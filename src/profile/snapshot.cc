@@ -3,68 +3,13 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
 #include <numeric>
 
+#include "support/strings.h"
+
 namespace tesla::profile {
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buf, static_cast<size_t>(n) < sizeof(buf) ? static_cast<size_t>(n)
-                                                          : sizeof(buf) - 1);
-  }
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendF(out, "\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendPromLabel(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '\\' || c == '"') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (c == '\n') {
-      out->append("\\n");
-    } else {
-      out->push_back(c);
-    }
-  }
-}
 
 size_t SketchPopcount(const uint64_t* words) {
   size_t ones = 0;
@@ -119,7 +64,7 @@ void MergeInto(Snapshot* inout, const Snapshot& in) {
       dst.key_vars = cls.key_vars;
     }
     for (size_t i = 0; i < kCellCount; i++) {
-      if (kCellMaxMerge[i]) {
+      if (kCellMerge[i] == MergeRule::kMax) {
         dst.cells[i] = std::max(dst.cells[i], cls.cells[i]);
       } else {
         dst.cells[i] += cls.cells[i];
@@ -184,7 +129,7 @@ std::string ToPrometheus(const Snapshot& snapshot) {
   for (size_t i = 0; i < kCellCount; i++) {
     // Peaks are gauges (they rewind across ResetStats); the rest are
     // monotone counters.
-    const bool gauge = kCellMaxMerge[i];
+    const bool gauge = kCellMerge[i] == MergeRule::kMax;
     AppendF(&out, "# HELP tesla_profile_%s%s %s\n# TYPE tesla_profile_%s%s %s\n",
             kCellNames[i], gauge ? "" : "_total", kCellHelp[i], kCellNames[i],
             gauge ? "" : "_total", gauge ? "gauge" : "counter");

@@ -103,12 +103,15 @@ struct RuntimeOptions {
   // clock reads per event). Snapshots: Runtime::CollectMetrics().
   metrics::MetricsMode metrics_mode = metrics::MetricsMode::kOff;
 
-  // Workload profiling (src/profile, layered beside metrics). When on, every
-  // dispatch records instance fan-out, index-probe/scan attribution,
-  // binding-key distinct-value sketches and sampled dispatch latency into
-  // per-context single-writer shards (~3 ns/event; BENCH_profile.json gates
-  // the overhead). Snapshots: Runtime::CollectProfile(); captures embed them
-  // in the TSLATRC v5 footer and `tesla-trace profile` renders the report.
+  // Workload profiling (src/profile). When on, every dispatch also records
+  // instance fan-out, index-probe/scan attribution, binding-key
+  // distinct-value sketches and sampled dispatch latency (≤5 ns/event in
+  // the committed BENCH_profile.json, which CI gates against; the cost is
+  // host-dependent). metrics_mode and profile share
+  // one collector and one shard per context (metrics/collector.h), each
+  // recording only its own cells. Snapshots: Runtime::CollectProfile();
+  // captures embed them in the TSLATRC v5 footer and `tesla-trace profile`
+  // renders the report.
   bool profile = false;
 
   // Profile-guided plan hints (see profile/hints.h), typically loaded from a

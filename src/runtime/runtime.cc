@@ -163,10 +163,7 @@ ThreadContext::ThreadContext(Runtime& runtime)
     trace_ = runtime.recorder_->RegisterContext();
   }
   if (runtime.collector_ != nullptr) {
-    metrics_ = runtime.collector_->RegisterShard();
-  }
-  if (runtime.profile_collector_ != nullptr) {
-    profile_ = runtime.profile_collector_->RegisterShard();
+    obs_ = runtime.collector_->RegisterShard();
   }
   runtime.RegisterContext(this);
 }
@@ -230,12 +227,10 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
     recorder_ = std::make_unique<trace::Recorder>(trace::TraceConfig{
         options_.trace_mode, options_.trace_ring_capacity, options_.trace_capture_limit});
   }
-  if (options_.metrics_mode != metrics::MetricsMode::kOff) {
-    collector_ = std::make_unique<metrics::Collector>(options_.metrics_mode);
+  if (options_.metrics_mode != metrics::MetricsMode::kOff || options_.profile) {
+    collector_ = std::make_unique<metrics::Collector>(options_.metrics_mode, options_.profile);
+    counters_ = collector_->counting() ? collector_.get() : nullptr;
     time_dispatch_ = collector_->histograms_enabled();
-  }
-  if (options_.profile) {
-    profile_collector_ = std::make_unique<profile::Collector>();
   }
 }
 
@@ -603,7 +598,7 @@ void Runtime::CompilePlan() {
             cls.dfa.states[state].transitions[symbol];
       }
     }
-    if (collector_ != nullptr) {
+    if (counters_ != nullptr) {
       cls.cov_first = static_cast<uint32_t>(bits);
       bits += (grid + 63) & ~size_t{63};
     }
@@ -611,9 +606,6 @@ void Runtime::CompilePlan() {
   if (collector_ != nullptr) {
     collector_->EnsureClassCapacity(classes_.size());
     collector_->InstallCoverage(bits);
-  }
-  if (profile_collector_ != nullptr) {
-    profile_collector_->EnsureClassCapacity(classes_.size());
   }
 
   // Pool sizing from capacity hints: any context can host any class's
@@ -644,7 +636,7 @@ void Runtime::CompilePlan() {
     StepCompileOptions step_options;
     step_options.tier = options_.step_tier;
     step_options.use_dfa = options_.use_dfa;
-    step_options.coverage = collector_ != nullptr;
+    step_options.coverage = counters_ != nullptr;
     step_options.cov_first = cls.cov_first;
     cls.step = CompileStepProgram(cls.automaton, cls.dfa,
                                   automata::LowerStep(cls.automaton, cls.dfa), step_options);
@@ -666,13 +658,8 @@ void Runtime::EnsurePlanCapacity(ThreadContext& ctx) {
   }
   // A Register() after this context was created: swap in a shard sized for
   // the new classes (the stale block stays behind and is still merged).
-  if (collector_ != nullptr && ctx.metrics_ != nullptr &&
-      ctx.metrics_->class_capacity() < classes_.size()) {
-    ctx.metrics_ = collector_->RegisterShard();
-  }
-  if (profile_collector_ != nullptr && ctx.profile_ != nullptr &&
-      ctx.profile_->class_capacity() < classes_.size()) {
-    ctx.profile_ = profile_collector_->RegisterShard();
+  if (ctx.obs_ != nullptr && ctx.obs_->class_capacity() < classes_.size()) {
+    ctx.obs_ = collector_->RegisterShard();
   }
 }
 
@@ -708,9 +695,6 @@ void Runtime::ResetStats() {
   }
   if (collector_ != nullptr) {
     collector_->Reset();
-  }
-  if (profile_collector_ != nullptr) {
-    profile_collector_->Reset();
   }
 }
 
@@ -766,23 +750,19 @@ std::string Runtime::ManifestText() const {
 metrics::Snapshot Runtime::CollectMetrics() const {
   metrics::Snapshot snapshot;
   snapshot.stats = stats_;
-  if (collector_ == nullptr) {
+  if (counters_ == nullptr) {
     AugmentSnapshot(snapshot);
     return snapshot;
   }
-  snapshot.mode = collector_->mode();
+  snapshot.mode = counters_->mode();
 
-  std::vector<uint64_t> counters(classes_.size() * metrics::kClassCounterCount, 0);
-  if (!classes_.empty()) {
-    collector_->MergeCounters(classes_.size(), counters.data());
-  }
+  std::vector<uint64_t> words(classes_.size() * metrics::kClassStride);
+  counters_->Merge(classes_.size(), words.data());
   snapshot.classes.reserve(classes_.size());
   for (const CompiledClass& cls : classes_) {
     metrics::ClassSnapshot entry;
     entry.name = cls.automaton.name;
-    for (size_t k = 0; k < metrics::kClassCounterCount; k++) {
-      entry.counters[k] = counters[cls.id * metrics::kClassCounterCount + k];
-    }
+    metrics::CountersFromCells(words.data() + cls.id * metrics::kClassStride, entry.counters);
     for (uint32_t state = 0; state < cls.cov_states; state++) {
       for (uint32_t symbol = 0; symbol < cls.cov_symbols; symbol++) {
         const uint32_t target = cls.dfa_flat[state * cls.cov_symbols + symbol];
@@ -793,7 +773,7 @@ metrics::Snapshot Runtime::CollectMetrics() const {
         transition.state = state;
         transition.symbol = static_cast<uint16_t>(symbol);
         transition.fired =
-            collector_->CoverageBit(cls.cov_first + state * cls.cov_symbols + symbol);
+            counters_->CoverageBit(cls.cov_first + state * cls.cov_symbols + symbol);
         const char* role = symbol == cls.automaton.init_symbol      ? "«init» "
                            : symbol == cls.automaton.cleanup_symbol ? "«cleanup» "
                                                                     : "";
@@ -805,7 +785,7 @@ metrics::Snapshot Runtime::CollectMetrics() const {
     }
     snapshot.classes.push_back(std::move(entry));
   }
-  collector_->MergeHistograms(snapshot.histograms);
+  counters_->MergeHistograms(snapshot.histograms);
   AugmentSnapshot(snapshot);
   return snapshot;
 }
@@ -826,11 +806,11 @@ profile::Snapshot Runtime::CollectProfile() const {
           std::max<uint64_t>(snapshot.pool_capacity, ctx->store_.capacity());
     }
   }
-  if (profile_collector_ == nullptr || classes_.empty()) {
+  if (collector_ == nullptr || !collector_->profiling() || classes_.empty()) {
     return snapshot;
   }
-  std::vector<uint64_t> words(classes_.size() * profile::kClassStride, 0);
-  profile_collector_->Merge(classes_.size(), words.data());
+  std::vector<uint64_t> words(classes_.size() * metrics::kClassStride);
+  collector_->Merge(classes_.size(), words.data());
   snapshot.classes.reserve(classes_.size());
   for (const CompiledClass& cls : classes_) {
     profile::ClassProfile entry;
@@ -840,78 +820,76 @@ profile::Snapshot Runtime::CollectProfile() const {
     for (size_t p = 0; p < tracked; p++) {
       entry.key_vars.push_back(cls.key_vars[p]);
     }
-    const uint64_t* block = words.data() + cls.id * profile::kClassStride;
-    for (size_t c = 0; c < profile::kCellCount; c++) {
-      entry.cells[c] = block[c];
-    }
+    const uint64_t* block = words.data() + cls.id * metrics::kClassStride;
+    std::copy_n(block, profile::kCellCount, entry.cells);
     for (size_t p = 0; p < profile::kMaxKeyVars; p++) {
-      entry.var_partial[p] = block[profile::kVarPartialOffset + p];
-      for (size_t w = 0; w < profile::kSketchWords; w++) {
-        entry.sketch[p][w] = block[profile::kSketchOffset + p * profile::kSketchWords + w];
-      }
+      entry.var_partial[p] = block[metrics::kVarPartialOffset + p];
+      std::copy_n(block + metrics::kSketchOffset + p * profile::kSketchWords,
+                  profile::kSketchWords, entry.sketch[p]);
     }
     snapshot.classes.push_back(std::move(entry));
   }
   return snapshot;
 }
 
-// The profiler's view of one dispatch decision. Out of line so the hot path
-// pays only ProfileShard's null check; `served_by` names the route
-// DispatchToInstances chose (Cell::dispatches: a plain scan with no
-// fallback attribution — unkeyed class or index off).
-void Runtime::ProfileDispatch(ThreadContext& storage, const CompiledClass& cls,
+// The profile's shape of one dispatch; see runtime.h for `route`. Every
+// write is relative to the class's block, hoisted once by the caller, so no
+// store forces a reload of the shard's internal pointer.
+void Runtime::ProfileDispatch(std::atomic<uint64_t>* base, const CompiledClass& cls,
                               const ClassState& state, const BindingSet& bindings,
-                              profile::Cell served_by) {
-  // The class's word block, hoisted once: every write below is base-relative
-  // so no store forces a reload of the shard's internal pointer.
-  std::atomic<uint64_t>* base = storage.profile_->ClassCells(cls.id);
+                              metrics::Cell route) {
+  using metrics::Cell;
+  using metrics::Shard;
   const uint64_t population = state.instances.size();
-  profile::Shard::AddAt(base, profile::Cell::dispatches);
-  profile::Shard::AddAt(base, profile::Cell::fanout_sum, population);
-  profile::Shard::PeakAt(base, profile::Cell::fanout_peak, population);
+  Shard::AddAt(base, Cell::dispatches);
+  Shard::AddAt(base, Cell::fanout_sum, population);
+  Shard::PeakAt(base, Cell::fanout_peak, population);
   // Distinct-key sketches: one linear-counting bit per bound tracked key
   // variable. Hash of the value, so the sketch is deterministic in the
   // event stream and merges by OR.
-  const size_t tracked = std::min<size_t>(cls.key_count, profile::kMaxKeyVars);
+  const size_t tracked = std::min<size_t>(cls.key_count, metrics::kMaxKeyVars);
   for (size_t p = 0; p < tracked; p++) {
     const uint8_t var = cls.key_vars[p];
     for (size_t b = 0; b < bindings.count; b++) {
       if (bindings.entries[b].var == var) {
-        profile::Shard::SketchAt(base, p,
-                                 HashU64(static_cast<uint64_t>(bindings.entries[b].value)));
+        Shard::SketchAt(base, p, HashU64(static_cast<uint64_t>(bindings.entries[b].value)));
         break;
       }
     }
   }
-  switch (served_by) {
-    case profile::Cell::index_probes:
-      profile::Shard::AddAt(base, profile::Cell::index_probes);
-      break;
-    case profile::Cell::prefix_probes:
-      profile::Shard::AddAt(base, profile::Cell::prefix_probes);
-      break;
-    case profile::Cell::small_population:
-      profile::Shard::AddAt(base, profile::Cell::scan_fallbacks);
-      profile::Shard::AddAt(base, profile::Cell::small_population);
-      NoteGatedScan(cls.id);
-      break;
-    case profile::Cell::partial_bound:
-      profile::Shard::AddAt(base, profile::Cell::scan_fallbacks);
-      profile::Shard::AddAt(base, profile::Cell::partial_bound);
-      // Which tracked key variables *were* bound: the prefix-index signal —
-      // a secondary index on one of these would have served this dispatch.
-      for (size_t p = 0; p < tracked; p++) {
-        const uint8_t var = cls.key_vars[p];
-        for (size_t b = 0; b < bindings.count; b++) {
-          if (bindings.entries[b].var == var) {
-            profile::Shard::VarPartialAt(base, p);
-            break;
-          }
+  if (route == Cell::small_population) {
+    Shard::AddAt(base, Cell::small_population);
+    NoteGatedScan(cls.id);
+  } else if (route == Cell::partial_bound) {
+    Shard::AddAt(base, Cell::partial_bound);
+    // Which tracked key variables *were* bound: the prefix-index signal —
+    // a secondary index on one of these would have served this dispatch.
+    for (size_t p = 0; p < tracked; p++) {
+      const uint8_t var = cls.key_vars[p];
+      for (size_t b = 0; b < bindings.count; b++) {
+        if (bindings.entries[b].var == var) {
+          Shard::VarPartialAt(base, p);
+          break;
         }
       }
-      break;
-    default:
-      break;  // plain scan: no index to fall back from
+    }
+  }
+}
+
+void Runtime::SpillDispatch(const metrics::Shard& shard, uint32_t class_id,
+                            uint64_t population, metrics::Cell route) {
+  using metrics::Cell;
+  if (route != Cell::dispatches) {
+    collector_->Spill(class_id, StoredRoute(route));
+  }
+  if (!shard.profiling()) {
+    return;
+  }
+  collector_->Spill(class_id, Cell::dispatches);
+  collector_->Spill(class_id, Cell::fanout_sum, population);
+  collector_->Spill(class_id, Cell::fanout_peak, population);
+  if (route == Cell::small_population || route == Cell::partial_bound) {
+    collector_->Spill(class_id, route);
   }
 }
 
@@ -979,7 +957,7 @@ void Runtime::GrowClassStates(ThreadContext& storage) {
   // bookkeeping tests them once here instead of re-deriving them.
   const bool context_stage = ScopeContext();
   const bool record = context_stage && recorder_ != nullptr && ctx.trace_ != nullptr;
-  const bool timed = context_stage && time_dispatch_ && ctx.metrics_ != nullptr;
+  const bool timed = context_stage && time_dispatch_ && ctx.obs_ != nullptr;
   if (scope == nullptr && events.size() == 1) {
     // A single unscoped event (OnEvent's steady state) pays for neither a
     // stats frame nor an up-front claim: its counters go straight to the
@@ -1117,8 +1095,8 @@ void Runtime::DispatchEvent(ThreadContext& ctx, const Event& event, bool context
       // counted so a depressed p50 can be traced to the clock, not TESLA.
       Bump(stats_.negative_latencies);
     }
-    ctx.metrics_->RecordLatency(static_cast<size_t>(event.kind),
-                                ns > 0 ? static_cast<uint64_t>(ns) : 0);
+    ctx.obs_->RecordLatency(static_cast<size_t>(event.kind),
+                            ns > 0 ? static_cast<uint64_t>(ns) : 0);
   }
 }
 
@@ -1234,32 +1212,32 @@ void Runtime::ProcessSiteEvent(ThreadContext& ctx, const Event& event) {
       active = active && epoch.open && state.epoch == epoch.epoch;
     }
     if (active && !state.instances.empty()) {
-      if (options_.instance_index && fast_cls.key_mask != 0) {
+      const bool indexed = options_.instance_index && fast_cls.key_mask != 0;
+      if (indexed) {
         // An unbound event cannot cover the key tuple: always a scan.
         Bump(stats_.index_scans);
-        BumpClass(ctx, automaton_id, metrics::ClassCounter::index_scans);
       }
-      if (ProfileShard(ctx, automaton_id) != nullptr) [[unlikely]] {
+      if (metrics::Shard* shard = ctx.obs_) {
         // Same attribution the generic route computes for an unbound site:
         // gated below the crossover population, partially bound above it —
         // the determinism differential depends on the two paths agreeing.
         // (No latency sample: this is the sub-30 ns flattened path.)
-        profile::Cell route = profile::Cell::dispatches;
-        if (options_.instance_index && fast_cls.key_mask != 0) {
+        static constexpr BindingSet kUnbound{};
+        metrics::Cell route = metrics::Cell::dispatches;
+        if (indexed) {
           route = state.instances.size() < fast_cls.min_population
-                      ? profile::Cell::small_population
-                      : profile::Cell::partial_bound;
+                      ? metrics::Cell::small_population
+                      : metrics::Cell::partial_bound;
         }
-        BindingSet none;
-        ProfileDispatch(ctx, fast_cls, state, none, route);
+        RecordDispatch(*shard, fast_cls, state, kUnbound, route);
       }
       const uint32_t stepped = fast_cls.step.RunBatch(
-          collector_.get(), ctx.store_.hot_data(), state.instances.data(),
+          counters_, ctx.store_.hot_data(), state.instances.data(),
           state.instances.size(),
           std::span<const uint16_t>(&fast_cls.automaton.site_symbol, 1));
       if (stepped != 0) [[likely]] {
         Bump(stats_.transitions, stepped);
-        BumpClass(ctx, automaton_id, metrics::ClassCounter::transitions, stepped);
+        BumpClass(ctx, automaton_id, metrics::Cell::transitions, stepped);
         return;
       }
       // Paper §4.4.1 "Error": no instance could consume the site.
@@ -1441,12 +1419,11 @@ void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
   state.active = true;
   Bump(stats_.instances_created);
   Bump(stats_.transitions);  // the «init» transition itself
-  BumpClass(storage, class_id, metrics::ClassCounter::instances_created);
-  BumpClass(storage, class_id, metrics::ClassCounter::transitions);
-  if (collector_ != nullptr) {
+  BumpClass(storage, class_id, metrics::Cell::instances_created);
+  BumpClass(storage, class_id, metrics::Cell::transitions);
+  if (counters_ != nullptr) {
     // The «init» transition leaves DFA state 0 (the pre-bound start state).
-    StampTransition(collector_.get(), cls.cov_first, cls.cov_symbols, 0,
-                    cls.automaton.init_symbol);
+    StampTransition(counters_, cls.cov_first, cls.cov_symbols, 0, cls.automaton.init_symbol);
   }
   if (!handlers_.empty()) {
     ClassInfo info{class_id, &cls.automaton};
@@ -1488,7 +1465,7 @@ void Runtime::CleanupClass(ThreadContext& ctx, uint32_t class_id) {
   for (uint32_t slot : state.instances) {
     if (StepSlot(cls, storage, slot, std::span<const uint16_t>(&cleanup_symbol, 1))) {
       Bump(stats_.accepts);
-      BumpClass(storage, class_id, metrics::ClassCounter::accepts);
+      BumpClass(storage, class_id, metrics::Cell::accepts);
       if (!handlers_.empty()) {
         const Instance view = storage.store_.Materialize(slot);
         for (EventHandler* handler : handlers_) {
@@ -1600,8 +1577,8 @@ void Runtime::FireExpired(ThreadContext& storage, uint64_t now_ns) {
     const CompiledClass& cls = classes_[entry.class_id];
     const automata::TimedSpec& spec = cls.automaton.timed[entry.spec];
     Bump(stats_.deadline_expiries);
-    if (profile::Shard* pshard = ProfileShard(storage, entry.class_id)) {
-      pshard->Add(entry.class_id, profile::Cell::deadline_expiries);
+    if (metrics::Shard* shard = ProfileShard(storage, entry.class_id)) {
+      shard->Add(entry.class_id, metrics::Cell::deadline_expiries);
     }
     // Highlight the states still inside the timed region — where the
     // automaton was stuck when the clock ran out.
@@ -1645,8 +1622,8 @@ void Runtime::TimedObserve(ThreadContext& storage, const CompiledClass& cls,
         cell.serial++;
         cell.deadline_ns = now + spec.bound_ns;
         Bump(stats_.deadline_arms);
-        if (profile::Shard* pshard = ProfileShard(storage, cls.id)) {
-          pshard->Add(cls.id, profile::Cell::deadline_arms);
+        if (metrics::Shard* shard = ProfileShard(storage, cls.id)) {
+          shard->Add(cls.id, metrics::Cell::deadline_arms);
         }
         if (storage.wheel_ == nullptr) {
           storage.wheel_ = std::make_unique<DeadlineWheel>(now);
@@ -1855,10 +1832,10 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
                                   ClassState& state, const BindingSet& bindings,
                                   std::span<const uint16_t> symbols) {
   const uint32_t class_id = cls.id;
-  // Route decision, made once: the profile cell naming the route doubles as
-  // the profiler's attribution (Cell::dispatches = plain scan, nothing to
-  // attribute). The RuntimeStats/metrics bumps stay exactly the seed's.
-  profile::Cell route = profile::Cell::dispatches;
+  // Route decision, made once: the cell naming the route is what
+  // RecordDispatch stores (Cell::dispatches = plain scan, nothing to
+  // attribute).
+  metrics::Cell route = metrics::Cell::dispatches;
   if (options_.instance_index && cls.key_mask != 0) {
     if (state.instances.size() < cls.min_population) {
       // Below the crossover population, hashing the key tuple costs more
@@ -1868,51 +1845,48 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
       // moment the population grows past the threshold. Per-class since
       // plan hints can override the knob (min_population=0 probes always).
       Bump(stats_.index_scans);
-      BumpClass(storage, class_id, metrics::ClassCounter::index_scans);
-      route = profile::Cell::small_population;
+      route = metrics::Cell::small_population;
     } else {
       const uint32_t bound = BindingsVarMask(bindings.entries, bindings.count);
       if (bound == cls.key_mask) {
         Bump(stats_.index_probes);
-        BumpClass(storage, class_id, metrics::ClassCounter::index_probes);
-        route = profile::Cell::index_probes;
+        route = metrics::Cell::index_probes;
       } else if (cls.prefix_pos != CompiledClass::kNoPrefix &&
                  ((bound >> cls.prefix_var) & 1) != 0) {
         // Partially bound, but the profile-hinted prefix variable is bound:
         // the secondary index narrows the walk to one prefix bucket plus
         // the short prefix-unbound tail.
         Bump(stats_.index_probes);
-        BumpClass(storage, class_id, metrics::ClassCounter::index_probes);
-        route = profile::Cell::prefix_probes;
+        route = metrics::Cell::prefix_probes;
       } else {
         // An event binding a strict subset (or superset) of the key
         // variables cannot be answered by one bucket; fall back to the
         // scan. The index stays coherent because clone insertion goes
         // through IndexInstance.
         Bump(stats_.index_scans);
-        BumpClass(storage, class_id, metrics::ClassCounter::index_scans);
-        route = profile::Cell::partial_bound;
+        route = metrics::Cell::partial_bound;
       }
     }
   }
   auto run = [&]() {
-    if (route == profile::Cell::index_probes) {
+    if (route == metrics::Cell::index_probes) {
       return DispatchIndexed(storage, cls, state, bindings, symbols);
     }
-    if (route == profile::Cell::prefix_probes) {
+    if (route == metrics::Cell::prefix_probes) {
       return DispatchPrefix(storage, cls, state, bindings, symbols);
     }
     return DispatchScan(storage, cls, state, bindings, symbols);
   };
-  profile::Shard* pshard = ProfileShard(storage, class_id);
-  if (pshard == nullptr) [[likely]] {
+  metrics::Shard* shard = storage.obs_;
+  if (shard == nullptr) {
     return run();
   }
-  ProfileDispatch(storage, cls, state, bindings, route);
-  // 1-in-64 sampled dispatch latency: two clock reads amortised to well
-  // under a nanosecond per event, keeping the profiler inside its ≤5
-  // ns/event budget (BENCH_profile.json gates it).
-  if ((pshard->NextTick() & 63) != 0) [[likely]] {
+  RecordDispatch(*shard, cls, state, bindings, route);
+  // 1-in-64 sampled dispatch latency (profiling only): two clock reads
+  // amortised to well under a nanosecond per event, keeping the profiler
+  // inside its ≤5 ns/event budget (BENCH_profile.json gates it).
+  if (!shard->profiling() || class_id >= shard->class_capacity() ||
+      (shard->NextTick() & 63) != 0) [[likely]] {
     return run();
   }
   const uint64_t start = NowNs();
@@ -1925,8 +1899,8 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
     // clamped — a depressed sampled p50 must be traceable to the clock.
     Bump(stats_.negative_latencies);
   }
-  pshard->Add(class_id, profile::Cell::latency_ns, ns > 0 ? static_cast<uint64_t>(ns) : 0);
-  pshard->Add(class_id, profile::Cell::latency_samples);
+  shard->Add(class_id, metrics::Cell::latency_ns, ns > 0 ? static_cast<uint64_t>(ns) : 0);
+  shard->Add(class_id, metrics::Cell::latency_samples);
   return stepped;
 }
 
@@ -2020,7 +1994,7 @@ bool Runtime::DispatchIndexed(ThreadContext& storage, const CompiledClass& cls,
     new_head = slot;
     any_step = true;
     Bump(stats_.instances_cloned);
-    BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
+    BumpClass(storage, cls.id, metrics::Cell::instances_cloned);
     if (!handlers_.empty()) {
       const Instance parent_view = storage.store_.Materialize(parent);
       for (EventHandler* handler : handlers_) {
@@ -2047,11 +2021,11 @@ bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, Cla
       return false;
     }
     const uint32_t stepped =
-        cls.step.RunBatch(collector_.get(), storage.store_.hot_data(), state.instances.data(),
+        cls.step.RunBatch(counters_, storage.store_.hot_data(), state.instances.data(),
                           state.instances.size(), symbols);
     if (stepped != 0) {
       Bump(stats_.transitions, stepped);
-      BumpClass(storage, cls.id, metrics::ClassCounter::transitions, stepped);
+      BumpClass(storage, cls.id, metrics::Cell::transitions, stepped);
     }
     return stepped != 0;
   }
@@ -2112,7 +2086,7 @@ bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, Cla
     IndexInstance(storage, cls, state, slot);
     any_step = true;
     Bump(stats_.instances_cloned);
-    BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
+    BumpClass(storage, cls.id, metrics::Cell::instances_cloned);
     if (!handlers_.empty()) {
       const Instance parent_view = storage.store_.Materialize(parent);
       for (EventHandler* handler : handlers_) {
@@ -2239,7 +2213,7 @@ bool Runtime::DispatchPrefix(ThreadContext& storage, const CompiledClass& cls,
     IndexInstance(storage, cls, state, slot);
     any_step = true;
     Bump(stats_.instances_cloned);
-    BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
+    BumpClass(storage, cls.id, metrics::Cell::instances_cloned);
     if (!handlers_.empty()) {
       const Instance parent_view = storage.store_.Materialize(parent);
       for (EventHandler* handler : handlers_) {
@@ -2266,7 +2240,7 @@ bool Runtime::StepSlot(const CompiledClass& cls, ThreadContext& storage, uint32_
     return false;
   }
   Bump(stats_.transitions);
-  BumpClass(storage, cls.id, metrics::ClassCounter::transitions);
+  BumpClass(storage, cls.id, metrics::Cell::transitions);
   if (!handlers_.empty()) {
     ClassInfo info{cls.id, &cls.automaton};
     const Instance view = storage.store_.Materialize(slot);
@@ -2285,7 +2259,7 @@ bool Runtime::StepInstance(const CompiledClass& cls, ThreadContext& storage,
     return false;
   }
   Bump(stats_.transitions);
-  BumpClass(storage, cls.id, metrics::ClassCounter::transitions);
+  BumpClass(storage, cls.id, metrics::Cell::transitions);
   if (!handlers_.empty()) {
     ClassInfo info{cls.id, &cls.automaton};
     for (EventHandler* handler : handlers_) {
@@ -2355,10 +2329,10 @@ void Runtime::ReportViolation(uint32_t class_id, ViolationKind kind, const std::
   // push any batched deltas out so it sees everything that led up to the
   // violation, including the violation itself.
   FlushThreadStats();
-  if (collector_ != nullptr) {
+  if (counters_ != nullptr) {
     // No storage context is in scope here; the lock-guarded spill table is
     // fine for a path that already formats strings.
-    collector_->BumpSpill(class_id, metrics::ClassCounter::violations);
+    counters_->Spill(class_id, metrics::Cell::violations);
   }
   Violation violation;
   violation.kind = kind;

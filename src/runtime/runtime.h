@@ -55,7 +55,6 @@
 #include "automata/manifest.h"
 #include "metrics/collector.h"
 #include "metrics/snapshot.h"
-#include "profile/collector.h"
 #include "profile/snapshot.h"
 #include "runtime/deadline.h"
 #include "runtime/event.h"
@@ -174,14 +173,12 @@ class ThreadContext {
   // tracing is off). Owned by the runtime's Recorder, which outlives us —
   // the history survives context teardown for capture and forensics.
   trace::ContextLog* trace_ = nullptr;
-  // Metrics shard for counters/histograms recorded through this context
-  // (null when RuntimeOptions::metrics_mode is off). Owned by the runtime's
+  // Observability shard for the per-class cells (metrics counters and
+  // workload profile) and histograms recorded through this context (null
+  // when metrics_mode is off and profiling is off). Owned by the runtime's
   // Collector; single-writer — per-thread contexts by contract, global shard
   // contexts by their shard lock.
-  metrics::Shard* metrics_ = nullptr;
-  // Workload-profile shard (null when RuntimeOptions::profile is off). Same
-  // ownership and single-writer discipline as metrics_.
-  profile::Shard* profile_ = nullptr;
+  metrics::Shard* obs_ = nullptr;
   // Timed-clause clock domain for this context: the deadline wheel (lazily
   // allocated on first arm — untimed workloads never pay its footprint), the
   // monotonically clamped event clock (a backwards timestamp is clamped and
@@ -312,28 +309,29 @@ class Runtime {
 
   const RuntimeStats& stats() const { return stats_; }
   // Zeroes the global stats *and* every derived tally a stats consumer can
-  // observe: the per-shard instance-pool overflow counts and the metrics
-  // collector's counters, histograms and coverage bitmap. Call at a
-  // quiescent point for exact deltas.
+  // observe: the per-shard instance-pool overflow counts and the collector's
+  // cells, histograms and coverage bitmap. Call at a quiescent point for
+  // exact deltas.
   void ResetStats();
   const RuntimeOptions& options() const { return options_; }
 
-  // The metrics collector (null when RuntimeOptions::metrics_mode is off).
+  // The observability collector (null when metrics_mode is off and
+  // profiling is off). The two Collect* calls below are its views.
   metrics::Collector* collector() { return collector_.get(); }
   const metrics::Collector* collector() const { return collector_.get(); }
 
-  // Merges every shard into one snapshot and joins it with the static
-  // automaton structure (class names, statically-valid DFA transitions and
-  // their coverage bits). Cheap enough to call from a scrape handler.
+  // The metrics view: merges every shard into one snapshot and joins it
+  // with the static automaton structure (class names, statically-valid DFA
+  // transitions and their coverage bits). Per-class counters and coverage
+  // only under metrics_mode != kOff. Cheap enough to call from a scrape
+  // handler.
   metrics::Snapshot CollectMetrics() const;
 
-  // The workload-profile collector (null when RuntimeOptions::profile is
-  // off) and its merged snapshot: per-class fan-out, probe/scan attribution,
-  // binding-key sketches and pool marks, in plan (class-id) order. Pool
-  // marks cover every live context plus the high-water folded in when a
-  // context was destroyed; call at a quiescent point for exact figures.
-  profile::Collector* profile_collector() { return profile_collector_.get(); }
-  const profile::Collector* profile_collector() const { return profile_collector_.get(); }
+  // The profile view (classes only when RuntimeOptions::profile is on):
+  // per-class fan-out, probe/scan attribution, binding-key sketches and
+  // pool marks, in plan (class-id) order. Pool marks cover every live
+  // context plus the high-water folded in when a context was destroyed;
+  // call at a quiescent point for exact figures.
   profile::Snapshot CollectProfile() const;
 
   // Lets a front-end (the async queue) append its own sections — per-
@@ -688,7 +686,7 @@ class Runtime {
 
   // Steps a stored instance (slot form) or a stack-built clone candidate.
   // `storage` is the context owning (or about to own) the instance — the
-  // metrics shard the transition is attributed to.
+  // shard the transition is attributed to.
   bool StepSlot(const CompiledClass& cls, ThreadContext& storage, uint32_t slot,
                 std::span<const uint16_t> symbols);
   bool StepInstance(const CompiledClass& cls, ThreadContext& storage, Instance& instance,
@@ -697,7 +695,7 @@ class Runtime {
   bool StepCore(const CompiledClass& cls, automata::StateSet& states, uint32_t& dfa_state,
                 std::span<const uint16_t> symbols, automata::StateSet* from_out,
                 uint16_t* symbol_out) {
-    return cls.step.Run(collector_.get(), states, dfa_state, symbols, from_out, symbol_out);
+    return cls.step.Run(counters_, states, dfa_state, symbols, from_out, symbol_out);
   }
 
   bool MatchFunctionPattern(const automata::EventPattern& pattern,
@@ -758,42 +756,73 @@ class Runtime {
     std::atomic_ref<uint64_t>(counter).fetch_add(amount, std::memory_order_relaxed);
   }
 
-  // Per-class metrics bump, attributed to `storage`'s shard. One null check
-  // when metrics are off; the spill path only runs for events racing a late
-  // Register() (the shard predates the class).
-  void BumpClass(ThreadContext& storage, uint32_t class_id, metrics::ClassCounter kind,
+  // Records one runtime cell (metrics view) for `class_id` through
+  // `storage`'s shard. One null check when observability is off; the spill
+  // path only runs for events racing a late Register() (the shard predates
+  // the class).
+  void BumpClass(ThreadContext& storage, uint32_t class_id, metrics::Cell cell,
                  uint64_t amount = 1) {
-    metrics::Shard* shard = storage.metrics_;
-    if (shard == nullptr) {
+    metrics::Shard* shard = storage.obs_;
+    if (shard == nullptr || !shard->counting()) {
       return;
     }
-    if (class_id < shard->class_capacity()) {
-      shard->Bump(class_id, kind, amount);
+    if (class_id < shard->class_capacity()) [[likely]] {
+      shard->Add(class_id, cell, amount);
     } else {
-      collector_->BumpSpill(class_id, kind, amount);
+      collector_->Spill(class_id, cell, amount);
     }
   }
 
-  // `storage`'s profile shard if it can record `class_id`, else null (after
-  // routing additive cells racing a late Register() to the spill block —
-  // peaks and sketches have no spill form and are simply not recorded on
-  // that cold path). One null check when profiling is off.
-  profile::Shard* ProfileShard(ThreadContext& storage, uint32_t class_id) {
-    profile::Shard* shard = storage.profile_;
-    if (shard == nullptr || class_id >= shard->class_capacity()) [[unlikely]] {
+  // `storage`'s shard if profiling is on and the shard can record
+  // `class_id`, else null. Only the dispatch record spills cells racing a
+  // late Register() (SpillDispatch); the deadline cells recorded through
+  // this are dropped on that cold path.
+  metrics::Shard* ProfileShard(ThreadContext& storage, uint32_t class_id) {
+    metrics::Shard* shard = storage.obs_;
+    if (shard == nullptr || !shard->profiling() || class_id >= shard->class_capacity()) {
       return nullptr;
     }
     return shard;
   }
 
-  // The profiler's view of one dispatch decision (called from
-  // DispatchToInstances and the flattened site path): fan-out, probe/scan
-  // attribution, partial-binding analysis per tracked key variable,
-  // distinct-key sketches, and 1-in-64 sampled latency. Out of line — the
-  // hot path pays only the shard null check.
-  void ProfileDispatch(ThreadContext& storage, const CompiledClass& cls,
+  // Records one dispatch decision through `shard` (DispatchToInstances and
+  // the flattened site path, only when the context has a shard). `route`
+  // names the route taken: Cell::index_probes / prefix_probes for the
+  // index, small_population / partial_bound for a fallback scan, dispatches
+  // for a plain scan with nothing to attribute. The route is stored once,
+  // inline, as key probe, prefix probe or scan fallback — both views read
+  // it; the profile's shape of the dispatch (ProfileDispatch) is out of
+  // line and runs only with profiling on.
+  void RecordDispatch(metrics::Shard& shard, const CompiledClass& cls, const ClassState& state,
+                      const BindingSet& bindings, metrics::Cell route) {
+    if (cls.id >= shard.class_capacity()) [[unlikely]] {
+      SpillDispatch(shard, cls.id, state.instances.size(), route);
+      return;
+    }
+    std::atomic<uint64_t>* base = shard.ClassCells(cls.id);
+    if (route != metrics::Cell::dispatches) {
+      metrics::Shard::AddAt(base, StoredRoute(route));
+    }
+    if (shard.profiling()) [[unlikely]] {
+      ProfileDispatch(base, cls, state, bindings, route);
+    }
+  }
+  static metrics::Cell StoredRoute(metrics::Cell route) {
+    return route == metrics::Cell::small_population || route == metrics::Cell::partial_bound
+               ? metrics::Cell::scan_fallbacks
+               : route;
+  }
+  // With profiling on: fan-out, the partial-binding analysis per tracked
+  // key variable and the distinct-key sketches, into the class's block.
+  void ProfileDispatch(std::atomic<uint64_t>* base, const CompiledClass& cls,
                        const ClassState& state, const BindingSet& bindings,
-                       profile::Cell served_by);
+                       metrics::Cell route);
+  // A dispatch racing a late Register() (the shard predates the class):
+  // the route, and with profiling on the dispatch, fan-out and sub-route
+  // cells, go to the collector's spill block; sketches and partial-binding
+  // tallies have no spill form and are dropped.
+  void SpillDispatch(const metrics::Shard& shard, uint32_t class_id, uint64_t population,
+                     metrics::Cell route);
 
   // --- timed clauses (within_ms / rate) ---
 
@@ -869,16 +898,15 @@ class Runtime {
   uint32_t shard_count_ = 1;
   std::vector<std::unique_ptr<GlobalShard>> shards_;
 
-  // The metrics collector (metrics_mode != off); owns every context's shard
-  // and the transition-coverage bitmap.
+  // The observability collector (metrics_mode != off or profile); owns
+  // every context's shard and the transition-coverage bitmap.
   std::unique_ptr<metrics::Collector> collector_;
+  // collector_ while counters and coverage record (metrics_mode != kOff),
+  // else null: the sink the step kernels stamp coverage into.
+  metrics::Collector* counters_ = nullptr;
   // Cached collector_->histograms_enabled(): the per-event timing decision
   // must not cost a pointer chase when metrics are off.
   bool time_dispatch_ = false;
-
-  // The workload profiler (options_.profile): owns every context's profile
-  // shard; merged by CollectProfile().
-  std::unique_ptr<profile::Collector> profile_collector_;
   // Per-context SlotPool capacity resolved from plan hints in CompilePlan()
   // (0: no hints loaded; use options_.instances_per_context).
   size_t pool_capacity_hint_ = 0;

@@ -23,17 +23,17 @@
 //                     coverage stamp — bitmaps stay bit-identical across
 //                     tiers.
 //
-// Coverage stamping is resolved at compile time too: when the runtime has a
-// metrics collector every kernel stamps through runtime/coverage.h's
-// StampTransition with the same (cov_first, dfa_state, symbol) bit the
-// interpreted tier uses; without one the non-stamping variant is selected
-// and the hot path carries no collector branch.
+// Coverage stamping is resolved at compile time too: under metrics_mode !=
+// kOff every kernel stamps through runtime/coverage.h's StampTransition with
+// the same (cov_first, dfa_state, symbol) bit the interpreted tier uses;
+// otherwise the non-stamping variant is selected, the kernels are passed a
+// null collector, and the hot path carries no collector branch.
 //
 // Semantics note (deliberate, unobservable divergence): DFA-tracking kernels
 // advance the instance's dfa_state even with metrics off — it *is* their
 // stepping state — while the interpreted NFA walk leaves the mirror stale
-// until a collector exists. Verdicts, stats and coverage are unaffected;
-// the differential test compares exactly those.
+// while metrics are off. Verdicts, stats and coverage are unaffected; the
+// differential test compares exactly those.
 #ifndef TESLA_RUNTIME_STEP_H_
 #define TESLA_RUNTIME_STEP_H_
 
@@ -87,7 +87,7 @@ inline constexpr uint32_t kStepPackedMiss = 0xff;
 struct StepCompileOptions {
   StepTier tier = StepTier::kSpecialised;
   bool use_dfa = false;   // RuntimeOptions::use_dfa ablation semantics
-  bool coverage = false;  // the runtime has a metrics collector
+  bool coverage = false;  // metrics_mode != kOff: stamp transition coverage
   uint32_t cov_first = 0;  // class's first coverage bit (coverage only)
 };
 

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdarg>
+#include <cstdio>
 #include <cstdlib>
 
 namespace tesla {
@@ -61,6 +63,61 @@ bool ParseInt64(std::string_view text, int64_t* out) {
   }
   *out = static_cast<int64_t>(value);
   return true;
+}
+
+void AppendF(std::string* out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  const int n = vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  if (n > 0) {
+    out->append(buf, static_cast<size_t>(n) < sizeof(buf) ? static_cast<size_t>(n)
+                                                          : sizeof(buf) - 1);
+  }
+}
+
+void AppendJsonString(std::string* out, const std::string& s) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          AppendF(out, "\\u%04x", c);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+void AppendPromLabel(std::string* out, const std::string& s) {
+  for (char c : s) {
+    if (c == '\\' || c == '"') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (c == '\n') {
+      out->append("\\n");
+    } else {
+      out->push_back(c);
+    }
+  }
 }
 
 }  // namespace tesla

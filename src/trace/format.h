@@ -37,7 +37,7 @@
 //     RuntimeStats fields in declaration order, violation count, then
 //     (kind byte, automaton-name string) each
 //   metrics  (v2) presence byte; when 1: mode byte, class count, then per
-//     class: name string, the per-class counters in TESLA_CLASS_COUNTERS
+//     class: name string, the per-class counters in metrics::ClassCounter
 //     order, transition count, then per statically-valid transition:
 //     state, symbol, fired byte, description string. In kFull mode, per
 //     event kind: sample count, ns sum, occupied-bucket count, then
@@ -47,8 +47,9 @@
 //   profile  (v5) presence byte; when 1: pool capacity, pool high-water,
 //     class count, then per class: name string, tracked-key-var count and
 //     the variable ids, a self-describing cell count followed by the cells
-//     in TESLA_PROFILE_CELLS order (a reader discards cells a newer writer
-//     appended; cells the capture predates stay zero), kMaxKeyVars
+//     of the profile view (the leading TESLA_CLASS_CELLS cells, in order; a
+//     reader discards cells a newer writer appended; cells the capture
+//     predates stay zero), kMaxKeyVars
 //     partial-binding counters, then kMaxKeyVars × kSketchWords sketch
 //     words. The section is the workload profile `tesla-trace profile`
 //     renders and `--hints-out` compiles into PlanHints.

@@ -58,11 +58,12 @@ Status WriteCapture(const std::string& path, const std::string& origin,
   summary.dropped = snapshot.dropped;
   summary.stats = rt.stats();
   summary.violations = rt.violation_log();
-  if (rt.collector() != nullptr) {
+  // The sections follow the options: one collector serves both views.
+  if (rt.options().metrics_mode != metrics::MetricsMode::kOff) {
     summary.has_metrics = true;
     summary.metrics = rt.CollectMetrics();
   }
-  if (rt.profile_collector() != nullptr) {
+  if (rt.options().profile) {
     summary.has_profile = true;
     summary.profile = rt.CollectProfile();
   }
@@ -136,7 +137,7 @@ Result<ReplayResult> Replay(const TraceFile& file, runtime::Runtime& rt) {
                            " vs replay " + std::to_string(got) + "\n";
     }
   }
-  if (file.summary.has_metrics && rt.collector() != nullptr) {
+  if (file.summary.has_metrics && rt.options().metrics_mode != metrics::MetricsMode::kOff) {
     result.metrics = rt.CollectMetrics();
     const metrics::Snapshot& want = file.summary.metrics;
     if (want.classes.size() != result.metrics.classes.size()) {
@@ -178,7 +179,7 @@ Result<ReplayResult> Replay(const TraceFile& file, runtime::Runtime& rt) {
     }
   }
 
-  if (file.summary.has_profile && rt.profile_collector() != nullptr) {
+  if (file.summary.has_profile && rt.options().profile) {
     result.profile = rt.CollectProfile();
     const profile::Snapshot& want = file.summary.profile;
     if (want.classes.size() != result.profile.classes.size()) {

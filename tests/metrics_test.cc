@@ -14,6 +14,7 @@
 #include "kernelsim/workloads.h"
 #include "metrics/collector.h"
 #include "metrics/metrics.h"
+#include "profile/snapshot.h"
 #include "runtime/runtime.h"
 #include "support/log.h"
 #include "trace/format.h"
@@ -372,6 +373,197 @@ TEST(Metrics, CaptureFooterRoundTripsAndReplayMatches) {
   EXPECT_TRUE(replayed.value().matched) << replayed.value().divergence;
   EXPECT_EQ(metrics::ToJson(replayed.value().metrics), recorded);
   std::remove(path.c_str());
+}
+
+
+// ---------------------------------------------------------------------------
+// Cross-mode differential for the one cell block: the metrics counters and
+// the workload profile are two views of the same per-class cells, so running
+// one stream with counters only, profiling only, and both on must give each
+// view the same numbers whichever other view shares the block — and the
+// metrics view's index counters must be exactly the profile's route cells.
+
+struct ModeRun {
+  metrics::Snapshot metrics;
+  profile::Snapshot profile;
+  runtime::RuntimeStats stats;
+};
+
+automata::Manifest OneClass(const char* source, const char* name) {
+  auto automaton = automata::CompileAssertion(source, {}, name);
+  EXPECT_TRUE(automaton.ok()) << automaton.error().ToString();
+  automata::Manifest manifest;
+  manifest.Add(std::move(automaton.value()));
+  return manifest;
+}
+
+ModeRun RunCrossMode(MetricsMode mode, bool profile) {
+  SetLogLevel(LogLevel::kSilent);
+  RuntimeOptions options = TestOptions(mode);
+  options.profile = profile;
+  options.global_shards = 2;
+  options.index_min_population = 3;
+  // The keyed per-thread class probes from the first dispatch and has a
+  // secondary prefix index on x; the global classes keep the population
+  // gate, so they scan while small and probe once grown.
+  profile::ClassHint hint;
+  hint.name = "keyed";
+  hint.min_population = 0;
+  hint.prefix_key_pos = 0;
+  options.plan_hints.classes.push_back(hint);
+  Runtime rt(options);
+  EXPECT_TRUE(
+      rt.Register(OneClass("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", "keyed")).ok());
+  EXPECT_TRUE(rt.Register(OneClass("TESLA_GLOBAL(call(genter), returnfrom(gexit), "
+                                   "previously(gcheck(x) == 0))",
+                                   "global"))
+                  .ok());
+  const uint32_t keyed = static_cast<uint32_t>(rt.FindAutomaton("keyed"));
+  ThreadContext ctx(rt);
+
+  uint64_t rng = 2024;
+  auto drive = [&](int rounds, bool late) {
+    for (int round = 0; round < rounds; round++) {
+      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+      const int action = static_cast<int>((rng >> 33) % (late ? 12 : 10));
+      const int64_t x = static_cast<int64_t>((rng >> 40) % 12);
+      const int64_t y = static_cast<int64_t>((rng >> 48) % 3);
+      int64_t pair_args[] = {x, y};
+      int64_t one_arg[] = {x};
+      Binding full[] = {{0, x}, {1, y}};
+      Binding only_x[] = {{0, x}};
+      Binding only_y[] = {{1, y}};
+      switch (action) {
+        case 0:
+          rt.OnFunctionCall(ctx, S("syscall"), {});
+          break;
+        case 1:
+          rt.OnFunctionReturn(ctx, S("pair"), pair_args, 0);
+          break;
+        case 2:
+          rt.OnAssertionSite(ctx, keyed, full);  // key probe
+          break;
+        case 3:
+          rt.OnAssertionSite(ctx, keyed, only_x);  // prefix probe
+          break;
+        case 4:
+          rt.OnAssertionSite(ctx, keyed, only_y);  // partially bound: scan
+          break;
+        case 5:
+          rt.OnAssertionSite(ctx, keyed, {});  // the flattened unbound-site path
+          break;
+        case 6:
+          rt.OnFunctionReturn(ctx, S("syscall"), {}, 0);
+          break;
+        case 7:
+          rt.OnFunctionCall(ctx, S("genter"), {});
+          break;
+        case 8:
+          rt.OnFunctionReturn(ctx, S("gcheck"), one_arg, 0);
+          break;
+        case 9:
+          rt.OnFunctionReturn(ctx, S("gexit"), {}, 0);
+          break;
+        case 10:
+          rt.OnFunctionCall(ctx, S("lenter"), {});
+          break;
+        case 11:
+          rt.OnFunctionReturn(ctx, S("lcheck"), one_arg, 0);
+          break;
+      }
+    }
+  };
+  drive(600, false);
+  // A Register() after the context exists: its shard (and the global shard
+  // contexts') predate the new class.
+  EXPECT_TRUE(rt.Register(OneClass("TESLA_GLOBAL(call(lenter), returnfrom(lexit), "
+                                   "previously(lcheck(x) == 0))",
+                                   "late"))
+                  .ok());
+  drive(600, true);
+  return {rt.CollectMetrics(), rt.CollectProfile(), rt.stats()};
+}
+
+TEST(Metrics, CrossModeViewsOfOneCellBlock) {
+  const ModeRun counters = RunCrossMode(MetricsMode::kCounters, false);
+  const ModeRun profiled = RunCrossMode(MetricsMode::kOff, true);
+  const ModeRun both = RunCrossMode(MetricsMode::kCounters, true);
+
+  // Each view is present exactly when its option is on.
+  EXPECT_TRUE(profiled.metrics.classes.empty());
+  EXPECT_TRUE(counters.profile.classes.empty());
+  ASSERT_EQ(both.metrics.classes.size(), 3u);
+  ASSERT_EQ(both.profile.classes.size(), 3u);
+
+  // Counters: identical between counters-only and both on.
+  ASSERT_EQ(counters.metrics.classes.size(), both.metrics.classes.size());
+  for (size_t c = 0; c < both.metrics.classes.size(); c++) {
+    const metrics::ClassSnapshot& a = counters.metrics.classes[c];
+    const metrics::ClassSnapshot& b = both.metrics.classes[c];
+    ASSERT_EQ(a.name, b.name);
+    for (size_t k = 0; k < metrics::kClassCounterCount; k++) {
+      EXPECT_EQ(a.counters[k], b.counters[k]) << a.name << "." << metrics::kClassCounterNames[k];
+    }
+    ASSERT_EQ(a.transitions.size(), b.transitions.size()) << a.name;
+    for (size_t t = 0; t < a.transitions.size(); t++) {
+      EXPECT_EQ(a.transitions[t].fired, b.transitions[t].fired) << a.transitions[t].description;
+    }
+  }
+
+  // Profile: deterministic cells, partials and sketches identical between
+  // profile-only and both on.
+  ASSERT_EQ(profiled.profile.classes.size(), both.profile.classes.size());
+  for (size_t c = 0; c < both.profile.classes.size(); c++) {
+    const profile::ClassProfile& a = profiled.profile.classes[c];
+    const profile::ClassProfile& b = both.profile.classes[c];
+    ASSERT_EQ(a.name, b.name);
+    for (size_t i = 0; i < profile::kCellCount; i++) {
+      if (profile::kCellDeterministic[i]) {
+        EXPECT_EQ(a.cells[i], b.cells[i]) << a.name << "." << profile::kCellNames[i];
+      }
+    }
+    for (size_t p = 0; p < profile::kMaxKeyVars; p++) {
+      EXPECT_EQ(a.var_partial[p], b.var_partial[p]) << a.name << " partial[" << p << "]";
+      for (size_t w = 0; w < profile::kSketchWords; w++) {
+        EXPECT_EQ(a.sketch[p][w], b.sketch[p][w]) << a.name << " sketch[" << p << "]";
+      }
+    }
+  }
+
+  // One route, two views: per class, index_probes = key + prefix probes and
+  // index_scans = scan fallbacks; summed over classes, the global stats.
+  for (const ModeRun* run : {&counters, &profiled, &both}) {
+    EXPECT_EQ(run->stats.index_probes, both.stats.index_probes);
+    EXPECT_EQ(run->stats.index_scans, both.stats.index_scans);
+  }
+  uint64_t probes = 0;
+  uint64_t scans = 0;
+  uint64_t key = 0;
+  uint64_t prefix = 0;
+  uint64_t fallbacks = 0;
+  for (size_t c = 0; c < both.metrics.classes.size(); c++) {
+    const metrics::ClassSnapshot& m = both.metrics.classes[c];
+    const profile::ClassProfile& p = both.profile.classes[c];
+    EXPECT_EQ(Counter(m, ClassCounter::index_probes),
+              p.cell(profile::Cell::index_probes) + p.cell(profile::Cell::prefix_probes))
+        << m.name;
+    EXPECT_EQ(Counter(m, ClassCounter::index_scans), p.cell(profile::Cell::scan_fallbacks))
+        << m.name;
+    probes += Counter(m, ClassCounter::index_probes);
+    scans += Counter(m, ClassCounter::index_scans);
+    key += p.cell(profile::Cell::index_probes);
+    prefix += p.cell(profile::Cell::prefix_probes);
+    fallbacks += p.cell(profile::Cell::scan_fallbacks);
+  }
+  EXPECT_EQ(probes, both.stats.index_probes);
+  EXPECT_EQ(scans, both.stats.index_scans);
+  // The stream exercised every route.
+  EXPECT_GT(key, 0u);
+  EXPECT_GT(prefix, 0u);
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(both.profile.classes[1].cell(profile::Cell::small_population), 0u);
+  EXPECT_GT(both.profile.classes[1].cell(profile::Cell::index_probes), 0u);
+  EXPECT_GT(both.profile.classes[2].cell(profile::Cell::index_probes), 0u);
 }
 
 }  // namespace

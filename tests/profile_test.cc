@@ -20,7 +20,7 @@
 
 #include "automata/lower.h"
 #include "automata/manifest.h"
-#include "profile/collector.h"
+#include "metrics/collector.h"
 #include "profile/hints.h"
 #include "profile/snapshot.h"
 #include "queue/queue.h"
@@ -415,26 +415,26 @@ TEST(ProfileHints, SnapshotDistillsGatedScansIntoHints) {
 // documented error for n ≈ m/2.
 
 TEST(ProfileSketch, EstimatesDistinctValues) {
-  profile::Collector collector;
+  metrics::Collector collector(metrics::MetricsMode::kOff, /*profiling=*/true);
   collector.EnsureClassCapacity(2);
-  profile::Shard* shard = collector.RegisterShard();
+  metrics::Shard* shard = collector.RegisterShard();
   for (uint64_t v = 0; v < 10; v++) {
-    shard->SketchValue(0, 0, HashU64(v));
-    shard->SketchValue(0, 0, HashU64(v));  // duplicates must not inflate
+    metrics::Shard::SketchAt(shard->ClassCells(0), 0, HashU64(v));
+    metrics::Shard::SketchAt(shard->ClassCells(0), 0, HashU64(v));  // duplicates must not inflate
   }
   for (uint64_t v = 0; v < 120; v++) {
-    shard->SketchValue(1, 0, HashU64(v * 7919 + 3));
+    metrics::Shard::SketchAt(shard->ClassCells(1), 0, HashU64(v * 7919 + 3));
   }
 
-  std::vector<uint64_t> merged(2 * profile::kClassStride);
+  std::vector<uint64_t> merged(2 * metrics::kClassStride);
   collector.Merge(2, merged.data());
   profile::ClassProfile small;
   profile::ClassProfile large;
   small.key_vars = {0};
   large.key_vars = {0};
-  std::copy_n(merged.data() + profile::kSketchOffset, profile::kSketchWords,
+  std::copy_n(merged.data() + metrics::kSketchOffset, profile::kSketchWords,
               small.sketch[0]);
-  std::copy_n(merged.data() + profile::kClassStride + profile::kSketchOffset,
+  std::copy_n(merged.data() + metrics::kClassStride + metrics::kSketchOffset,
               profile::kSketchWords, large.sketch[0]);
 
   EXPECT_NEAR(small.EstimatedDistinct(0), 10.0, 2.0);

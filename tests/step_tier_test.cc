@@ -4,9 +4,7 @@
 // runtime per tier and compare, after every event, the full RuntimeStats
 // schema (via the TESLA_RUNTIME_STATS X-macro, so a new counter is compared
 // the day it is added) and the violation sequences; at the end of each
-// schedule the transition-coverage bitmaps must be bit-identical. The IR
-// lowering is cross-validated separately: the emitted step function,
-// evaluated by the IR interpreter, must agree with Dfa::Step everywhere.
+// schedule the transition-coverage bitmaps must be bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,12 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "automata/determinize.h"
 #include "automata/lower.h"
 #include "automata/manifest.h"
-#include "automata/stepc.h"
-#include "ir/interp.h"
-#include "ir/stepemit.h"
 #include "metrics/collector.h"
 #include "runtime/handler.h"
 #include "runtime/runtime.h"
@@ -364,47 +358,6 @@ TEST(StepTier, GlobalContextBatchAgrees) {
   }
   tiers.CheckCoverage("final");
   ASSERT_GT(tiers.sides[0]->rt.stats().transitions, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// IR lowering cross-validation: the emitted step function, run through the
-// IR interpreter, must agree with Dfa::Step on every (state, symbol) pair —
-// including the dead symbols the emission prunes.
-
-TEST(StepTier, EmittedIrStepMatchesDfa) {
-  const char* sources[] = {
-      "TESLA_WITHIN(syscall, previously(check(x) == 0))",
-      "TESLA_WITHIN(syscall, previously(c0(x) == 0 || c1(x) == 0 || c2(x) == 0 || "
-      "c3(x) == 0))",
-      "TESLA_WITHIN(f, incallstack(g) || previously(a(x) == 0))",
-  };
-  for (const char* source : sources) {
-    auto compiled = CompileAssertion(source, {}, "emit");
-    ASSERT_TRUE(compiled.ok()) << compiled.error().ToString();
-    automata::Automaton automaton = std::move(compiled.value());
-    automaton.Finalize();
-    const automata::Dfa dfa = automata::Determinize(automaton);
-    const automata::StepLowering lowering = automata::LowerStep(automaton, dfa);
-
-    ir::Module module;
-    ir::EmitStepFunction(module, lowering, "step");
-    ASSERT_TRUE(ir::Verify(module).ok()) << source;
-
-    ir::Interpreter interp(module);
-    for (uint32_t state = 0; state < lowering.dfa_state_count; state++) {
-      for (uint16_t symbol = 0; symbol < lowering.symbol_count; symbol++) {
-        const uint32_t expect = dfa.Step(state, symbol);
-        auto got = interp.Call("step", {static_cast<int64_t>(state),
-                                        static_cast<int64_t>(symbol)});
-        ASSERT_TRUE(got.ok()) << source;
-        const int64_t want = expect == automata::Dfa::kNoTarget
-                                 ? ir::kStepMiss
-                                 : static_cast<int64_t>(expect);
-        ASSERT_EQ(got.value(), want)
-            << source << " state=" << state << " symbol=" << symbol;
-      }
-    }
-  }
 }
 
 }  // namespace
