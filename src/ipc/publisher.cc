@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include "support/intern.h"
+#include "trace/format.h"
 #include "trace/wire.h"
 
 namespace tesla::ipc {
@@ -66,7 +67,7 @@ Status ShmPublisher::Start(const std::string& origin) {
   ShmSegment::Geometry geometry;
   geometry.lane_count = options_.lanes;
   geometry.lane_words =
-      static_cast<uint64_t>(options_.lane_capacity_events) * kShmMaxRecordWords;
+      static_cast<uint64_t>(options_.lane_capacity_events) * queue::kMaxRecordWords;
   geometry.symtab_bytes = symtab.size();
   geometry.manifest_bytes = manifest_text.size();
   Result<std::unique_ptr<ShmSegment>> created = ShmSegment::Create(shm_name_, geometry);
@@ -80,21 +81,16 @@ Status ShmPublisher::Start(const std::string& origin) {
 
   ShmHeader& header = segment_->header();
   header.symbol_count = static_cast<uint32_t>(symbol_count);
-  const runtime::RuntimeOptions& ro = rt_.options();
-  header.opt_flags = static_cast<uint8_t>((ro.lazy_init ? 1 : 0) | (ro.use_dfa ? 2 : 0) |
-                                          (ro.instance_index ? 4 : 0));
-  header.instances_per_context = ro.instances_per_context;
-  header.global_shards = ro.global_shards;
+  const trace::CaptureOptions options = trace::CaptureOptions::Of(rt_.options());
+  header.opt_flags = options.flags();
+  header.instances_per_context = options.instances_per_context;
+  header.global_shards = options.global_shards;
   std::snprintf(header.origin, kShmOriginBytes, "%s", origin.c_str());
   header.producer_pid.store(static_cast<int32_t>(::getpid()), std::memory_order_relaxed);
 
   lanes_.clear();
   for (uint32_t lane = 0; lane < options_.lanes; lane++) {
-    auto slot = std::make_unique<LaneSlot>();
-    slot->writer.ctl = segment_->lane_control(lane);
-    slot->writer.words = segment_->lane_words(lane);
-    slot->writer.mask = segment_->header().lane_words - 1;
-    lanes_.push_back(std::move(slot));
+    lanes_.push_back(std::make_unique<LaneSlot>(segment_->lane(lane)));
   }
 
   stopping_.store(false, std::memory_order_relaxed);
@@ -173,7 +169,9 @@ bool ShmPublisher::Publish(const runtime::Event& event) {
     header.lane_overflow.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-  if (slot->writer.TryPush(event)) {
+  const queue::EncodedEvent record = queue::EncodeEvent(event);
+  auto write = [&record](auto&& put) { record.Write(put); };
+  if (slot->ring.TryPush(record.words, write)) {
     slot->published.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -184,7 +182,7 @@ bool ShmPublisher::Publish(const runtime::Event& event) {
   // Lossless policy: spin until the sidecar drains. Shutdown breaks the
   // wait (and counts the loss) so an abandoned publisher can still exit.
   uint32_t spins = 0;
-  while (!slot->writer.TryPush(event)) {
+  while (!slot->ring.TryPush(record.words, write)) {
     if (stopping_.load(std::memory_order_acquire)) {
       header.dropped.fetch_add(1, std::memory_order_relaxed);
       return true;

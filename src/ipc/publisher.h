@@ -91,11 +91,12 @@ class ShmPublisher {
   ShmSegment* segment_for_test() { return segment_.get(); }
 
  private:
-  // One lane's producer-side state. The writer (with its cached tail) is
-  // owned by the single thread the lane was assigned to; the counter is
-  // read by stats() from other threads.
+  // One lane's producer-side state. The ring is pushed only by the single
+  // thread the lane was assigned to; the counter is read by stats() from
+  // other threads.
   struct alignas(64) LaneSlot {
-    LaneWriter writer;
+    explicit LaneSlot(queue::EventRing lane) : ring(std::move(lane)) {}
+    queue::EventRing ring;
     std::atomic<uint64_t> published{0};
   };
 

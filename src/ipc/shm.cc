@@ -1,5 +1,7 @@
 #include "ipc/shm.h"
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <new>
@@ -16,14 +18,6 @@ namespace {
 
 constexpr size_t AlignUp(size_t value, size_t alignment) {
   return (value + alignment - 1) & ~(alignment - 1);
-}
-
-uint64_t RoundUpPow2(uint64_t value) {
-  uint64_t pow2 = 1;
-  while (pow2 < value) {
-    pow2 <<= 1;
-  }
-  return pow2;
 }
 
 // POSIX wants a name of the form "/name" with no further slashes.
@@ -55,10 +49,10 @@ Offsets ComputeOffsets(uint32_t lane_count, uint64_t lane_words, size_t symtab_b
   Offsets offsets;
   offsets.symtab = AlignUp(sizeof(ShmHeader), 8);
   offsets.manifest = offsets.symtab + symtab_bytes;
-  // LaneControl demands cacheline alignment; the word arrays follow the
+  // RingControl demands cacheline alignment; the word arrays follow the
   // controls (whose size is a multiple of 64) so they inherit it.
   offsets.lanes = AlignUp(offsets.manifest + manifest_bytes, 64);
-  offsets.words = offsets.lanes + static_cast<size_t>(lane_count) * sizeof(LaneControl);
+  offsets.words = offsets.lanes + static_cast<size_t>(lane_count) * sizeof(queue::RingControl);
   offsets.total =
       offsets.words + static_cast<size_t>(lane_count) * static_cast<size_t>(lane_words) * 8;
   return offsets;
@@ -92,10 +86,8 @@ Result<std::unique_ptr<ShmSegment>> ShmSegment::Create(const std::string& name,
     return Error{"shm lane count must be in [1, " + std::to_string(kShmMaxLanes) + "]",
                  0, 0, trace::kErrUnreadable};
   }
-  uint64_t lane_words = RoundUpPow2(geometry.lane_words);
-  if (lane_words < 2 * kShmMaxRecordWords) {
-    lane_words = RoundUpPow2(2 * kShmMaxRecordWords);
-  }
+  const uint64_t lane_words =
+      std::bit_ceil(std::max<uint64_t>(geometry.lane_words, 2 * queue::kMaxRecordWords));
 
   const int fd = ::shm_open(normalised.value().c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
   if (fd < 0) {
@@ -134,6 +126,8 @@ Result<std::unique_ptr<ShmSegment>> ShmSegment::Create(const std::string& name,
   segment->manifest_offset_ = offsets.manifest;
   segment->lanes_offset_ = offsets.lanes;
   segment->words_offset_ = offsets.words;
+  segment->geometry_ = geometry;
+  segment->geometry_.lane_words = lane_words;
 
   // The mapping is zero-filled; placement-new gives the header (and its
   // atomics) defined values, then the geometry fields are filled in before
@@ -147,7 +141,8 @@ Result<std::unique_ptr<ShmSegment>> ShmSegment::Create(const std::string& name,
   header->manifest_bytes = geometry.manifest_bytes;
   segment->header_ = header;
   for (uint32_t lane = 0; lane < geometry.lane_count; lane++) {
-    new (segment->base_ + offsets.lanes + lane * sizeof(LaneControl)) LaneControl();
+    new (segment->base_ + offsets.lanes + lane * sizeof(queue::RingControl))
+        queue::RingControl();
   }
   return segment;
 }
@@ -205,27 +200,33 @@ Status ShmSegment::ValidateGeometry() {
                      "; this build speaks v" + std::to_string(kShmVersion),
                  0, 0, trace::kErrVersionMismatch};
   }
-  if (header.lane_count == 0 || header.lane_count > kShmMaxLanes) {
+  // Validate a snapshot: the creating process can still write the header,
+  // so every later use reads the checked copy, never the mapping.
+  const Geometry geometry{header.lane_count, header.lane_words,
+                          static_cast<size_t>(header.symtab_bytes),
+                          static_cast<size_t>(header.manifest_bytes)};
+  if (geometry.lane_count == 0 || geometry.lane_count > kShmMaxLanes) {
     return Error{"shm segment '" + name_ + "': invalid lane count " +
-                     std::to_string(header.lane_count),
+                     std::to_string(geometry.lane_count),
                  0, 0, trace::kErrCorrupt};
   }
-  if (header.lane_words < 2 * kShmMaxRecordWords ||
-      (header.lane_words & (header.lane_words - 1)) != 0) {
+  if (geometry.lane_words < 2 * queue::kMaxRecordWords ||
+      (geometry.lane_words & (geometry.lane_words - 1)) != 0) {
     return Error{"shm segment '" + name_ + "': invalid lane size " +
-                     std::to_string(header.lane_words) + " words",
+                     std::to_string(geometry.lane_words) + " words",
                  0, 0, trace::kErrCorrupt};
   }
-  const Offsets offsets =
-      ComputeOffsets(header.lane_count, header.lane_words,
-                     static_cast<size_t>(header.symtab_bytes),
-                     static_cast<size_t>(header.manifest_bytes));
-  if (offsets.total > mapped_bytes_ || offsets.manifest < offsets.symtab ||
-      offsets.words < offsets.lanes) {
+  // A region size past the mapping is corrupt on its own; with every size
+  // bounded by it, the offset sums cannot wrap back inside the mapping.
+  const Offsets offsets = ComputeOffsets(geometry.lane_count, geometry.lane_words,
+                                         geometry.symtab_bytes, geometry.manifest_bytes);
+  if (geometry.symtab_bytes > mapped_bytes_ || geometry.manifest_bytes > mapped_bytes_ ||
+      geometry.lane_words > mapped_bytes_ || offsets.total > mapped_bytes_) {
     return Error{"shm segment '" + name_ + "': geometry exceeds the mapped " +
                      std::to_string(mapped_bytes_) + " bytes",
                  0, 0, trace::kErrCorrupt};
   }
+  geometry_ = geometry;
   symtab_offset_ = offsets.symtab;
   manifest_offset_ = offsets.manifest;
   lanes_offset_ = offsets.lanes;
@@ -233,14 +234,18 @@ Status ShmSegment::ValidateGeometry() {
   return Status::Ok();
 }
 
-LaneControl* ShmSegment::lane_control(uint32_t lane) {
-  return reinterpret_cast<LaneControl*>(base_ + lanes_offset_ + lane * sizeof(LaneControl));
+queue::RingControl* ShmSegment::lane_control(uint32_t lane) {
+  return reinterpret_cast<queue::RingControl*>(base_ + lanes_offset_ +
+                                               lane * sizeof(queue::RingControl));
 }
 
-std::atomic<uint64_t>* ShmSegment::lane_words(uint32_t lane) {
-  return reinterpret_cast<std::atomic<uint64_t>*>(
-      base_ + words_offset_ +
-      static_cast<size_t>(lane) * static_cast<size_t>(header_->lane_words) * 8);
+queue::EventRing ShmSegment::lane(uint32_t lane) {
+  return queue::EventRing(
+      lane_control(lane),
+      reinterpret_cast<std::atomic<uint64_t>*>(
+          base_ + words_offset_ +
+          static_cast<size_t>(lane) * static_cast<size_t>(geometry_.lane_words) * 8),
+      geometry_.lane_words);
 }
 
 }  // namespace tesla::ipc

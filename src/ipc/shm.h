@@ -20,29 +20,15 @@
 //                              before the segment goes live (the "interner
 //                              generation" the subscriber remaps against)
 //   manifest                   manifest_bytes of .tesla text (may be empty)
-//   LaneControl × lane_count   per-lane head/tail, a cacheline each
+//   RingControl × lane_count   per-lane head/tail, a cacheline each
 //   lane words                 lane_count rings of lane_words 64-bit words
 //
-// Lanes are SPSC rings speaking the tesla::queue word format
-// (src/queue/ring.h) minus the leading ThreadContext-pointer word — a
-// pointer is meaningless across address spaces; the subscriber gives each
-// lane its own ThreadContext instead, which preserves the paper's
-// per-thread serialisation semantics because a lane has exactly one
-// producer thread. Record:
-//
-//   word 0   header: kind | count<<8 | flags (truncated / has return /
-//            has vars / has timestamp) | target symbol << 32
-//   [1]      event timestamp, when stamped (timed clauses: the sidecar
-//            evaluates deadlines against the publisher's clock)
-//   …        count argument values
-//   [1]      return value, when non-zero
-//   [0–2]    vars packed four per word, when any is non-zero (site events)
-//
-// Synchronisation is exactly the ring's: the producer relaxed-stores the
-// record words then release-publishes head; the consumer acquire-loads head,
-// decodes, release-publishes tail. The atomics live in the mapped region —
-// std::atomic<uint64_t> is address-free on every platform we build for
-// (static_asserted below), so the protocol works across processes.
+// Each lane is a queue::EventRing (src/queue/ring.h) borrowing its control
+// block and words from the mapping. Its records are the ring's event
+// encoding without the queue's leading context word — a pointer is
+// meaningless across address spaces; the subscriber gives each lane its own
+// ThreadContext instead, which preserves the paper's per-thread
+// serialisation semantics because a lane has exactly one producer thread.
 //
 // Attach/detach protocol:
 //   * the publisher creates the segment (O_CREAT|O_EXCL), writes geometry,
@@ -66,9 +52,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "runtime/event.h"
+#include "queue/ring.h"
 #include "support/result.h"
 
 namespace tesla::ipc {
@@ -78,30 +63,11 @@ inline constexpr uint32_t kShmVersion = 1;
 inline constexpr uint32_t kShmMaxLanes = 64;
 inline constexpr size_t kShmOriginBytes = 120;
 
-// Worst case record: header + timestamp + 8 values + return + 2 packed-vars
-// words.
-inline constexpr size_t kShmMaxRecordWords =
-    1 + 1 + runtime::kMaxEventArgs + 1 + (runtime::kMaxEventArgs + 3) / 4;
-
-// Header word flags (same bit positions as queue::QueueRing).
-inline constexpr uint64_t kShmHeaderTruncated = uint64_t{1} << 16;
-inline constexpr uint64_t kShmHeaderHasReturn = uint64_t{1} << 17;
-inline constexpr uint64_t kShmHeaderHasVars = uint64_t{1} << 18;
-inline constexpr uint64_t kShmHeaderHasTs = uint64_t{1} << 19;
-
 enum class ShmState : uint32_t {
   kInitialising = 0,  // creator is still writing geometry/symbols/manifest
   kLive = 1,          // publisher accepting events
   kClosed = 2,        // clean shutdown: drain to empty, then detach
 };
-
-// One lane's indices, a cacheline per side so the producer's head stores
-// never bounce the consumer's tail line.
-struct LaneControl {
-  alignas(64) std::atomic<uint64_t> head;
-  alignas(64) std::atomic<uint64_t> tail;
-};
-static_assert(sizeof(LaneControl) == 128, "one cacheline per side");
 
 struct ShmHeader {
   // --- immutable after state becomes kLive ---
@@ -112,8 +78,8 @@ struct ShmHeader {
   uint64_t symtab_bytes = 0;
   uint64_t manifest_bytes = 0;
   uint32_t symbol_count = 0;  // interner generation: spellings serialised
-  // The semantics-bearing runtime options (same encoding as a capture's
-  // options section): lazy_init | use_dfa<<1 | instance_index<<2.
+  // The semantics-bearing runtime options, in trace::CaptureOptions'
+  // encoding (the same fields as a capture's options section).
   uint8_t opt_flags = 0;
   uint8_t pad_[3] = {};
   uint64_t instances_per_context = 0;
@@ -129,133 +95,8 @@ struct ShmHeader {
   std::atomic<uint64_t> lane_overflow{0};  // events from threads past lane_count
 };
 
-static_assert(std::atomic<uint64_t>::is_always_lock_free &&
-                  std::atomic<uint32_t>::is_always_lock_free,
+static_assert(std::atomic<uint32_t>::is_always_lock_free,
               "shm coordination requires address-free lock-free atomics");
-
-// Producer-side view of one lane. Mirrors queue::QueueRing::TryPush with the
-// context word dropped; `cached_tail` lives here (process-local), not in the
-// shared region.
-struct LaneWriter {
-  LaneControl* ctl = nullptr;
-  std::atomic<uint64_t>* words = nullptr;
-  uint64_t mask = 0;
-  uint64_t cached_tail = 0;
-
-  bool TryPush(const runtime::Event& event) {
-    uint64_t vars_packed[2] = {0, 0};
-    for (size_t i = 0; i < event.count; i++) {
-      vars_packed[i / 4] |= static_cast<uint64_t>(event.vars[i]) << (16 * (i % 4));
-    }
-    const bool has_return = event.return_value != 0;
-    const bool has_vars = (vars_packed[0] | vars_packed[1]) != 0;
-    const bool has_ts = event.ts_ns != 0;
-    const size_t need = 1 + event.count + (has_return ? 1 : 0) +
-                        (has_vars ? (event.count + 3) / 4 : 0) + (has_ts ? 1 : 0);
-
-    const uint64_t head = ctl->head.load(std::memory_order_relaxed);
-    const uint64_t capacity = mask + 1;
-    if (head + need - cached_tail > capacity) {
-      cached_tail = ctl->tail.load(std::memory_order_acquire);
-      if (head + need - cached_tail > capacity) {
-        return false;
-      }
-    }
-
-    uint64_t pos = head;
-    auto put = [&](uint64_t word) {
-      words[pos & mask].store(word, std::memory_order_relaxed);
-      pos++;
-    };
-    put(static_cast<uint64_t>(event.kind) | (static_cast<uint64_t>(event.count) << 8) |
-        (event.truncated ? kShmHeaderTruncated : 0) |
-        (has_return ? kShmHeaderHasReturn : 0) | (has_vars ? kShmHeaderHasVars : 0) |
-        (has_ts ? kShmHeaderHasTs : 0) | (static_cast<uint64_t>(event.target) << 32));
-    if (has_ts) {
-      put(event.ts_ns);
-    }
-    for (size_t i = 0; i < event.count; i++) {
-      put(static_cast<uint64_t>(event.values[i]));
-    }
-    if (has_return) {
-      put(static_cast<uint64_t>(event.return_value));
-    }
-    if (has_vars) {
-      for (size_t i = 0; i < (event.count + 3u) / 4; i++) {
-        put(vars_packed[i]);
-      }
-    }
-    ctl->head.store(pos, std::memory_order_release);
-    return true;
-  }
-};
-
-// Consumer-side view of one lane.
-struct LaneReader {
-  LaneControl* ctl = nullptr;
-  std::atomic<uint64_t>* words = nullptr;
-  uint64_t mask = 0;
-  uint64_t cached_head = 0;
-
-  bool Empty() {
-    const uint64_t tail = ctl->tail.load(std::memory_order_relaxed);
-    if (cached_head != tail) {
-      return false;
-    }
-    cached_head = ctl->head.load(std::memory_order_acquire);
-    return cached_head == tail;
-  }
-
-  // Appends up to `max` decoded events; returns the number popped. Whole
-  // records only (the producer publishes record-at-a-time), so decoding
-  // below head never reads unwritten words.
-  size_t Pop(std::vector<runtime::Event>& out, size_t max) {
-    const uint64_t tail = ctl->tail.load(std::memory_order_relaxed);
-    if (cached_head == tail) {
-      cached_head = ctl->head.load(std::memory_order_acquire);
-      if (cached_head == tail) {
-        return 0;
-      }
-    }
-    uint64_t pos = tail;
-    size_t popped = 0;
-    uint64_t vars_scratch = 0;
-    auto take = [&] {
-      const uint64_t word = words[pos & mask].load(std::memory_order_relaxed);
-      pos++;
-      return word;
-    };
-    while (pos != cached_head && popped < max) {
-      runtime::Event event;
-      const uint64_t header = take();
-      event.kind = static_cast<runtime::EventKind>(header & 0xff);
-      event.count = static_cast<uint8_t>((header >> 8) & 0xff);
-      event.truncated = (header & kShmHeaderTruncated) != 0;
-      event.target = static_cast<Symbol>(header >> 32);
-      if ((header & kShmHeaderHasTs) != 0) {
-        event.ts_ns = take();
-      }
-      for (size_t i = 0; i < event.count; i++) {
-        event.values[i] = static_cast<int64_t>(take());
-      }
-      if ((header & kShmHeaderHasReturn) != 0) {
-        event.return_value = static_cast<int64_t>(take());
-      }
-      if ((header & kShmHeaderHasVars) != 0) {
-        for (size_t i = 0; i < event.count; i++) {
-          if (i % 4 == 0) {
-            vars_scratch = take();
-          }
-          event.vars[i] = static_cast<uint16_t>(vars_scratch >> (16 * (i % 4)));
-        }
-      }
-      out.push_back(event);
-      popped++;
-    }
-    ctl->tail.store(pos, std::memory_order_release);
-    return popped;
-  }
-};
 
 // The mapped segment. Create() is the publisher side (owns the name and
 // unlinks it), OpenExisting() the subscriber side (maps an existing name and
@@ -288,24 +129,28 @@ class ShmSegment {
   static Result<std::unique_ptr<ShmSegment>> OpenExisting(const std::string& name);
 
   // Validates magic, version, lane geometry and that the whole layout fits
-  // the mapped size, then computes the region offsets. Must be called (once)
-  // on an OpenExisting() segment after an acquire load of header().state
-  // observed kLive or kClosed — the geometry fields are immutable from then
-  // on. Errors carry trace::ErrorCode values (kErrVersionMismatch for a
-  // newer segment version, kErrCorrupt otherwise).
+  // the mapped size, then records the geometry and computes the region
+  // offsets. Must be called (once) on an OpenExisting() segment after an
+  // acquire load of header().state observed kLive or kClosed — the geometry
+  // fields are immutable from then on. Errors carry trace::ErrorCode values
+  // (kErrVersionMismatch for a newer segment version, kErrCorrupt otherwise).
   Status ValidateGeometry();
 
   // Removes the name (idempotent; the mapping stays valid).
   static void Unlink(const std::string& name);
 
+  // The validated geometry (Create()'s, with lane_words rounded up).
+  const Geometry& geometry() const { return geometry_; }
   ShmHeader& header() { return *header_; }
   const ShmHeader& header() const { return *header_; }
   uint8_t* symtab() { return base_ + symtab_offset_; }
   const uint8_t* symtab() const { return base_ + symtab_offset_; }
   uint8_t* manifest() { return base_ + manifest_offset_; }
   const uint8_t* manifest() const { return base_ + manifest_offset_; }
-  LaneControl* lane_control(uint32_t lane);
-  std::atomic<uint64_t>* lane_words(uint32_t lane);
+  // `lane`'s mapped control block, and a ring view of it and the lane's
+  // words (lane < geometry().lane_count).
+  queue::RingControl* lane_control(uint32_t lane);
+  queue::EventRing lane(uint32_t lane);
   const std::string& name() const { return name_; }
   bool owner() const { return owner_; }
 
@@ -317,9 +162,10 @@ class ShmSegment {
   uint8_t* base_ = nullptr;
   size_t mapped_bytes_ = 0;
   ShmHeader* header_ = nullptr;
+  Geometry geometry_;
   size_t symtab_offset_ = 0;
   size_t manifest_offset_ = 0;
-  size_t lanes_offset_ = 0;  // LaneControl array
+  size_t lanes_offset_ = 0;  // RingControl array
   size_t words_offset_ = 0;  // lane word arrays
   bool owner_ = false;
 };

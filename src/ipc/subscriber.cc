@@ -57,29 +57,36 @@ Result<std::unique_ptr<ShmSubscriber>> ShmSubscriber::Attach(const std::string& 
 
   auto subscriber = std::unique_ptr<ShmSubscriber>(new ShmSubscriber());
   const ShmHeader& header = segment->header();
+  const ShmSegment::Geometry& geometry = segment->geometry();
+  auto corrupt = [&segment](const std::string& what) {
+    return Error{"shm segment '" + segment->name() + "': " + what, 0, 0, trace::kErrCorrupt};
+  };
+
+  Result<trace::CaptureOptions> options = trace::CaptureOptions::Decode(
+      header.opt_flags, header.instances_per_context, header.global_shards);
+  if (!options.ok()) {
+    return corrupt(options.error().message);
+  }
+  subscriber->info_.options = options.value();
 
   // Decode the symbol table through the same hardened cursor the capture
   // reader uses — the segment was written by another process and is as
   // untrusted as a file.
-  trace::Cursor cursor{segment->symtab(), static_cast<size_t>(header.symtab_bytes)};
+  trace::Cursor cursor{segment->symtab(), geometry.symtab_bytes};
   uint64_t symbol_count = 0;
   cursor.Varint(&symbol_count);
   if (!cursor.FitsRemaining(symbol_count)) {
-    return Error{"shm segment '" + segment->name() + "': symbol table overruns its region",
-                 0, 0, trace::kErrCorrupt};
+    return corrupt("symbol table overruns its region");
   }
   if (symbol_count != header.symbol_count) {
-    return Error{"shm segment '" + segment->name() + "': symbol table count " +
-                     std::to_string(symbol_count) + " disagrees with header " +
-                     std::to_string(header.symbol_count),
-                 0, 0, trace::kErrCorrupt};
+    return corrupt("symbol table count " + std::to_string(symbol_count) +
+                   " disagrees with header " + std::to_string(header.symbol_count));
   }
   subscriber->spellings_.reserve(static_cast<size_t>(symbol_count));
   for (uint64_t i = 0; i < symbol_count; i++) {
     std::string spelling;
     if (!cursor.String(&spelling)) {
-      return Error{"shm segment '" + segment->name() + "': truncated symbol table", 0, 0,
-                   trace::kErrCorrupt};
+      return corrupt("truncated symbol table");
     }
     subscriber->spellings_.push_back(std::move(spelling));
   }
@@ -87,22 +94,13 @@ Result<std::unique_ptr<ShmSubscriber>> ShmSubscriber::Attach(const std::string& 
   subscriber->info_.origin = std::string(
       header.origin, strnlen(header.origin, kShmOriginBytes));
   subscriber->info_.manifest_text.assign(
-      reinterpret_cast<const char*>(segment->manifest()),
-      static_cast<size_t>(header.manifest_bytes));
-  subscriber->info_.options.lazy_init = (header.opt_flags & 1) != 0;
-  subscriber->info_.options.use_dfa = (header.opt_flags & 2) != 0;
-  subscriber->info_.options.instance_index = (header.opt_flags & 4) != 0;
-  subscriber->info_.options.instances_per_context = header.instances_per_context;
-  subscriber->info_.options.global_shards = header.global_shards;
-  subscriber->info_.lane_count = header.lane_count;
-  subscriber->info_.symbol_count = header.symbol_count;
+      reinterpret_cast<const char*>(segment->manifest()), geometry.manifest_bytes);
+  subscriber->info_.lane_count = geometry.lane_count;
+  subscriber->info_.symbol_count = static_cast<uint32_t>(symbol_count);
   subscriber->info_.producer_pid = header.producer_pid.load(std::memory_order_relaxed);
 
-  subscriber->readers_.resize(header.lane_count);
-  for (uint32_t lane = 0; lane < header.lane_count; lane++) {
-    subscriber->readers_[lane].ctl = segment->lane_control(lane);
-    subscriber->readers_[lane].words = segment->lane_words(lane);
-    subscriber->readers_[lane].mask = header.lane_words - 1;
+  for (uint32_t lane = 0; lane < geometry.lane_count; lane++) {
+    subscriber->lanes_.push_back(segment->lane(lane));
   }
 
   segment->header().consumer_attached.fetch_add(1, std::memory_order_acq_rel);
@@ -111,13 +109,7 @@ Result<std::unique_ptr<ShmSubscriber>> ShmSubscriber::Attach(const std::string& 
 }
 
 runtime::RuntimeOptions ShmSubscriber::PublisherRuntimeOptions() const {
-  runtime::RuntimeOptions options;
-  options.lazy_init = info_.options.lazy_init;
-  options.use_dfa = info_.options.use_dfa;
-  options.instance_index = info_.options.instance_index;
-  options.instances_per_context = static_cast<size_t>(info_.options.instances_per_context);
-  options.global_shards = static_cast<size_t>(info_.options.global_shards);
-  return options;
+  return info_.options.ToRuntimeOptions();
 }
 
 void ShmSubscriber::InternSymbols() {
@@ -133,20 +125,22 @@ void ShmSubscriber::InternSymbols() {
 
 size_t ShmSubscriber::PollLane(uint32_t lane, std::vector<runtime::Event>& out,
                                size_t max) {
-  const size_t start = out.size();
-  const size_t popped = readers_[lane].Pop(out, max);
-  for (size_t i = start; i < out.size(); i++) {
-    runtime::Event& event = out[i];
-    if (event.kind == runtime::EventKind::kAssertionSite) {
-      continue;  // target is an automaton id; registration order carries it
+  return lanes_[lane].Pop(max, [this, &out](queue::RingWindow& window) {
+    runtime::Event event;
+    if (!queue::DecodeEvent(window, &event)) {
+      return false;
     }
-    if (event.target < remap_.size()) {
-      event.target = remap_[event.target];
-    } else {
-      unknown_symbols_++;
+    // A site's target is an automaton id; registration order carries it.
+    if (event.kind != runtime::EventKind::kAssertionSite) {
+      if (event.target < remap_.size()) {
+        event.target = remap_[event.target];
+      } else {
+        unknown_symbols_++;
+      }
     }
-  }
-  return popped;
+    out.push_back(event);
+    return true;
+  });
 }
 
 bool ShmSubscriber::closed() const {
@@ -192,6 +186,7 @@ DrainReport DrainAll(ShmSubscriber& subscriber, runtime::Runtime& rt,
     // observation proves the lanes are dry.
     const bool was_closed = subscriber.closed();
     uint64_t swept = 0;
+    report.corrupt_lanes = 0;
     for (uint32_t lane = 0; lane < lanes; lane++) {
       for (;;) {
         batch.clear();
@@ -208,13 +203,14 @@ DrainReport DrainAll(ShmSubscriber& subscriber, runtime::Runtime& rt,
         report.batches++;
         swept += batch.size();
       }
+      report.corrupt_lanes += subscriber.LaneCorrupt(lane) ? 1 : 0;
     }
     if (swept != 0) {
       idle_sweeps = 0;
       continue;
     }
-    if (was_closed) {
-      break;
+    if (was_closed || report.corrupt_lanes == lanes) {
+      break;  // dry, or nothing left that can ever yield
     }
     // Throttled death check: a publisher that crashed never sets kClosed.
     if (++idle_sweeps % 64 == 0 && subscriber.ProducerDead()) {

@@ -51,6 +51,7 @@ struct DrainReport {
   uint64_t producer_dropped = 0; // publisher-side full-lane drops
   uint64_t lane_overflow = 0;    // publisher events from threads past the lanes
   bool producer_died = false;    // publisher vanished without closing cleanly
+  uint32_t corrupt_lanes = 0;    // lanes latched corrupt by the decoder
 };
 
 class ShmSubscriber {
@@ -59,7 +60,8 @@ class ShmSubscriber {
   // to appear and reach kLive (0: a single immediate attempt) — publishers
   // and sidecars race at startup by design. Errors carry trace::ErrorCode
   // values: kErrUnreadable when the name never appears, kErrCorrupt /
-  // kErrVersionMismatch from geometry validation.
+  // kErrVersionMismatch from validating the geometry, options (the
+  // trace::CaptureOptions decoder) or symbol table.
   static Result<std::unique_ptr<ShmSubscriber>> Attach(const std::string& name,
                                                        int timeout_ms = 0);
 
@@ -76,8 +78,12 @@ class ShmSubscriber {
   // Drains up to `max` events from `lane` into `out` (appended), with
   // publisher symbol ids rewritten to this process's. Returns the number
   // appended. Site events' targets are automaton ids, not symbols, and pass
-  // through untouched — manifest registration order preserves them.
+  // through untouched — manifest registration order preserves them. A lane
+  // that failed a decoder check (queue/ring.h) yields nothing.
   size_t PollLane(uint32_t lane, std::vector<runtime::Event>& out, size_t max);
+
+  // `lane` failed a decoder check and is latched corrupt.
+  bool LaneCorrupt(uint32_t lane) const { return lanes_[lane].corrupt(); }
 
   // Clean shutdown observed (drain every lane to empty, then detach).
   bool closed() const;
@@ -101,13 +107,15 @@ class ShmSubscriber {
   std::vector<std::string> spellings_;  // publisher id → spelling
   std::vector<Symbol> remap_;           // publisher id → local symbol
   bool interned_ = false;
-  std::vector<LaneReader> readers_;
+  std::vector<queue::EventRing> lanes_;
   uint64_t unknown_symbols_ = 0;
 };
 
 // Drains every lane through `rt` until the publisher closes the segment (all
-// lanes emptied after kClosed) or dies (salvages what the lanes still hold,
-// reports producer_died). The runtime must have the segment's manifest
+// lanes emptied after kClosed), dies (salvages what the lanes still hold,
+// reports producer_died) or every lane is latched corrupt. Corrupt lanes are
+// counted in corrupt_lanes; events decoded before a lane's first bad record
+// are dispatched. The runtime must have the segment's manifest
 // registered and must not be fed events by anyone else during the drain.
 // Dispatched batches are folded into RuntimeStats::queue_events/queue_batches
 // and publisher drops into queue_drops, so the usual exposition formats show

@@ -80,6 +80,19 @@
 
 namespace tesla::queue {
 
+// One queued unit: the event plus the serialisation context it was produced
+// under. Carrying the context pointer (not a copy of anything inside it)
+// keeps the paper's per-thread serialisation semantics intact across the
+// thread hop — the consumer dispatches into the producer's own context, so
+// automaton instances, flight-recorder attribution and metrics shards all
+// land exactly where an inline dispatch would have put them. The context
+// must outlive EventQueue::Stop(). In a ring it is the context word followed
+// by the event's record (ring.h).
+struct QueueRecord {
+  runtime::ThreadContext* ctx = nullptr;
+  runtime::Event event;
+};
+
 struct QueueOptions {
   // What a producer does when its ring is full: block until the consumer
   // catches up, or drop the event (counted per producer and in
@@ -181,14 +194,15 @@ class EventQueue {
   struct Producer {
     Producer(size_t capacity, std::thread::id id, uint32_t index,
              size_t consumers);
-    QueueRing ring;
+    EventRing ring;
     std::thread::id owner;
     const uint32_t index;  // registration order; home consumer = index % consumers
     // Which consumer is currently processing this producer's batches
     // (kNoConsumer: none). The CAS/store pair is the release/acquire edge
     // that serialises successive claimants' pushes into `forwards` and pops
-    // from `ring`.
-    std::atomic<uint32_t> claimant{kNoConsumer};
+    // from `ring`. Its own cacheline: consumers CAS it every round, and the
+    // producer reads the ring's fields on every push.
+    alignas(64) std::atomic<uint32_t> claimant{kNoConsumer};
     // Written by the owning producer thread, read by stats snapshots.
     std::atomic<uint64_t> enqueued{0};
     std::atomic<uint64_t> dropped{0};
@@ -197,7 +211,7 @@ class EventQueue {
     // Forward rings, one per consumer, allocated only when consumers > 1:
     // pushed by whichever consumer holds this producer's claim, popped by
     // the indexed consumer.
-    std::vector<std::unique_ptr<QueueRing>> forwards;
+    std::vector<std::unique_ptr<EventRing>> forwards;
   };
 
   struct Consumer {

@@ -1,234 +1,290 @@
-// A bounded single-producer/single-consumer ring of queued events.
+// The bounded single-producer/single-consumer event ring and its record
+// codec: the one ring behind tesla::queue (producer and forward rings on heap
+// storage the ring owns) and tesla::ipc (shm lanes on mapped storage it
+// borrows from a segment another process wrote).
 //
-// This is the ingestion counterpart of trace::TraceRing and reuses its
-// discipline — serialise the record into the ring as relaxed 64-bit word
-// stores, then publish with one release store — but where the flight
-// recorder overwrites its oldest record when full, an ingestion ring must
-// not lose or tear events that were accepted: it is *bounded*. The producer
-// owns `head_`, the consumer owns `tail_`, and each side caches the other's
-// index so the common case (ring neither full nor empty) costs no shared
-// load at all:
+// Ring. A `RingControl` {head, tail} plus a power-of-two array of 64-bit
+// words. The producer owns head, the consumer owns tail, and each caches the
+// other's index on its own cacheline, so a ring that is neither full nor
+// empty costs no shared load. The producer stores a record's words relaxed,
+// then release-publishes head; the consumer acquires head, decodes
+// [tail, head), then release-publishes tail. Those two release/acquire pairs
+// are the only synchronisation, and as atomics are address-free they work
+// across processes on a mapped control block. A full ring fails TryPush;
+// the caller blocks or drops.
 //
-//   producer: if the record wouldn't fit under cached_tail, refresh
-//             cached_tail (acquire); still full → TryPush fails and the
-//             caller applies its backpressure policy. Otherwise relaxed
-//             word stores, release-publish the new head.
-//   consumer: if cached_head == tail, refresh cached_head (acquire); still
-//             empty → nothing to pop. Otherwise decode the records in
-//             [tail, head), then release-publish the new tail so the
-//             producer may reuse those words.
+// Record. An Event is 96 bytes but almost always nearly empty, so
+// EncodeEvent stores only its live prefix:
 //
-// The release/acquire pairs on head_ (producer→consumer) and tail_
-// (consumer→producer) are the only synchronisation: ring words need no
-// ordering of their own because a word is only rewritten after the consumer
-// published a tail past it, and only read after the producer published a
-// head past it.
-//
-// Records are variable-length. An Event is 96 bytes but almost always
-// nearly empty — a 0–2 argument call carries 2–4 live words — so the
-// producer serialises only the live prefix:
-//
-//   word 0   the ThreadContext pointer
-//   word 1   header: kind | count | flags (truncated / has return value /
-//            has vars / has timestamp) | target symbol
-//   [1]      event timestamp, when stamped (timed clauses registered — the
-//            consumer must see the *producer's* clock, not its own)
+//   word 0   header: kind | count << 8 | flags << 16 (truncated / has
+//            return value / has vars / has timestamp) | target << 32
+//   [1]      event timestamp, when stamped (timed clauses: the consumer
+//            must see the *producer's* clock, not its own)
 //   …        count argument values
 //   [1]      return value, when non-zero
 //   [0–2]    vars packed four per word, when any is non-zero (site events)
 //
 // This is lossless for every Event the factories in runtime/event.h build
-// (they zero-initialise, so values/vars beyond `count` are zero) and cuts
-// the producer's stores from 13 words to 2–4 for typical events — the
-// difference between "tens of ns" and "~10 ns" on the instrumented thread.
+// (values/vars beyond `count` are zero). A queue record is a ThreadContext*
+// word the queue writes itself, then this encoding; a shm lane record is the
+// encoding alone (a pointer means nothing in another address space).
+//
+// Decoder checks. A mapped lane is untrusted. Pop() rejects a window whose
+// head is behind the tail or more than the capacity past it; DecodeEvent()
+// rejects a kind past kAssertionSite, a count past kMaxEventArgs, an unknown
+// header bit, or a record running past the acquired head. The first failure
+// latches the ring corrupt and every later Pop() returns nothing, so a
+// hostile lane can neither index past Event::values nor feed a drain loop
+// made-up events forever. An honest producer never trips a check.
+//
+// trace::TraceRing stays separate: it overwrites its oldest record when full
+// and detects torn reads, where this ring must never lose or tear an
+// accepted event — one class for both would branch on its caller.
 #ifndef TESLA_QUEUE_RING_H_
 #define TESLA_QUEUE_RING_H_
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
-#include <cstring>
+#include <cstdint>
 #include <memory>
-#include <type_traits>
-#include <vector>
 
 #include "runtime/event.h"
 
-namespace tesla::runtime {
-class ThreadContext;
-}  // namespace tesla::runtime
-
 namespace tesla::queue {
 
-// One queued unit: the event plus the serialisation context it was produced
-// under. Carrying the context pointer (not a copy of anything inside it)
-// keeps the paper's per-thread serialisation semantics intact across the
-// thread hop — the consumer dispatches into the producer's own context, so
-// automaton instances, flight-recorder attribution and metrics shards all
-// land exactly where an inline dispatch would have put them. The context
-// must outlive EventQueue::Stop().
-struct QueueRecord {
-  runtime::ThreadContext* ctx = nullptr;
-  runtime::Event event;
-};
-
-static_assert(std::is_trivially_copyable_v<QueueRecord>,
-              "QueueRecord crosses threads as raw word copies");
-static_assert(sizeof(Symbol) == 4, "header packs target into 32 bits");
+static_assert(sizeof(Symbol) == 4, "the header packs the target into 32 bits");
 static_assert(runtime::kMaxEventArgs == 8,
               "vars packing and the worst-case record size assume 8 slots");
+static_assert(std::atomic<uint64_t>::is_always_lock_free,
+              "mapped rings require address-free lock-free atomics");
 
-// Worst case: ctx + header + timestamp + 8 values + return value + 2
-// packed-vars words.
-inline constexpr size_t kMaxRecordWords = 2 + 1 + runtime::kMaxEventArgs + 1 +
-                                          (runtime::kMaxEventArgs + 3) / 4;
+// Header word flags.
+inline constexpr uint64_t kRecordTruncated = uint64_t{1} << 16;
+inline constexpr uint64_t kRecordHasReturn = uint64_t{1} << 17;
+inline constexpr uint64_t kRecordHasVars = uint64_t{1} << 18;
+inline constexpr uint64_t kRecordHasTs = uint64_t{1} << 19;
+// Bits 20–31 are unassigned; a header setting any of them is corrupt.
+inline constexpr uint64_t kRecordUnknownBits = uint64_t{0xfff} << 20;
 
-// Header word layout (see TryPush/Pop below).
-inline constexpr uint64_t kHeaderTruncated = uint64_t{1} << 16;
-inline constexpr uint64_t kHeaderHasReturn = uint64_t{1} << 17;
-inline constexpr uint64_t kHeaderHasVars = uint64_t{1} << 18;
-inline constexpr uint64_t kHeaderHasTs = uint64_t{1} << 19;
+// Worst case: header, timestamp, 8 values, return value, 2 packed-vars words.
+inline constexpr size_t kMaxRecordWords =
+    1 + 1 + runtime::kMaxEventArgs + 1 + (runtime::kMaxEventArgs + 3) / 4;
 
-class QueueRing {
- public:
-  // `capacity` is in events: the ring always has room for at least that many
-  // worst-case records (small events pack denser and fit more).
-  explicit QueueRing(size_t capacity) {
-    size_t rounded = 64;
-    while (rounded < capacity * kMaxRecordWords) {
-      rounded *= 2;
-    }
-    capacity_ = rounded;
-    mask_ = rounded - 1;
-    words_ = std::make_unique<std::atomic<uint64_t>[]>(capacity_);
-  }
+// A record's length in words, from its header.
+inline size_t RecordWords(uint64_t header) {
+  const size_t count = (header >> 8) & 0xff;
+  return 1 + ((header & kRecordHasTs) != 0 ? 1 : 0) + count +
+         ((header & kRecordHasReturn) != 0 ? 1 : 0) +
+         ((header & kRecordHasVars) != 0 ? (count + 3) / 4 : 0);
+}
 
-  // In words, not events.
-  size_t capacity() const { return capacity_; }
+// An event's record as EncodeEvent lays it out: the header word, the packed
+// vars and the length in words. Write() emits the words in order through
+// `put(uint64_t)`.
+struct EncodedEvent {
+  const runtime::Event& event;
+  uint64_t header;
+  uint64_t vars[2];
+  size_t words;
 
-  // Approximate backlog in words, readable from any thread (both indices
-  // are loaded fresh, so this is exact at some instant between the loads).
-  // Used by idle consumers sizing up a ring before stealing a batch; the
-  // steal itself still goes through the claiming protocol in queue.cc, so
-  // staleness here costs at most a wasted (or missed) steal attempt.
-  size_t ApproxWords() const {
-    return static_cast<size_t>(head_.load(std::memory_order_acquire) -
-                               tail_.load(std::memory_order_acquire));
-  }
-
-  // Producer side. Wait-free; false means the ring is full *right now* (the
-  // caller blocks or drops — this class never decides).
-  bool TryPush(runtime::ThreadContext* ctx, const runtime::Event& event) {
-    uint64_t vars_packed[2] = {0, 0};
-    for (size_t i = 0; i < event.count; i++) {
-      vars_packed[i / 4] |= static_cast<uint64_t>(event.vars[i]) << (16 * (i % 4));
-    }
-    const bool has_return = event.return_value != 0;
-    const bool has_vars = (vars_packed[0] | vars_packed[1]) != 0;
-    const bool has_ts = event.ts_ns != 0;
-    const size_t need = 2 + event.count + (has_return ? 1 : 0) +
-                        (has_vars ? (event.count + 3) / 4 : 0) + (has_ts ? 1 : 0);
-
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head + need - cached_tail_ > capacity_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head + need - cached_tail_ > capacity_) {
-        return false;
-      }
-    }
-
-    uint64_t pos = head;
-    auto put = [&](uint64_t word) {
-      words_[pos & mask_].store(word, std::memory_order_relaxed);
-      pos++;
-    };
-    put(reinterpret_cast<uint64_t>(ctx));
-    put(static_cast<uint64_t>(event.kind) |
-        (static_cast<uint64_t>(event.count) << 8) |
-        (event.truncated ? kHeaderTruncated : 0) |
-        (has_return ? kHeaderHasReturn : 0) | (has_vars ? kHeaderHasVars : 0) |
-        (has_ts ? kHeaderHasTs : 0) | (static_cast<uint64_t>(event.target) << 32));
-    if (has_ts) {
+  template <typename Put>
+  void Write(Put&& put) const {
+    put(header);
+    if ((header & kRecordHasTs) != 0) {
       put(event.ts_ns);
     }
     for (size_t i = 0; i < event.count; i++) {
       put(static_cast<uint64_t>(event.values[i]));
     }
-    if (has_return) {
+    if ((header & kRecordHasReturn) != 0) {
       put(static_cast<uint64_t>(event.return_value));
     }
-    if (has_vars) {
+    if ((header & kRecordHasVars) != 0) {
       for (size_t i = 0; i < (event.count + 3u) / 4; i++) {
-        put(vars_packed[i]);
+        put(vars[i]);
       }
     }
-    head_.store(pos, std::memory_order_release);
+  }
+};
+
+inline EncodedEvent EncodeEvent(const runtime::Event& event) {
+  EncodedEvent encoded{event, 0, {0, 0}, 0};
+  for (size_t i = 0; i < event.count; i++) {
+    encoded.vars[i / 4] |= static_cast<uint64_t>(event.vars[i]) << (16 * (i % 4));
+  }
+  const bool has_return = event.return_value != 0;
+  const bool has_vars = (encoded.vars[0] | encoded.vars[1]) != 0;
+  const bool has_ts = event.ts_ns != 0;
+  encoded.header = static_cast<uint64_t>(event.kind) |
+                   (static_cast<uint64_t>(event.count) << 8) |
+                   (event.truncated ? kRecordTruncated : 0) |
+                   (has_return ? kRecordHasReturn : 0) | (has_vars ? kRecordHasVars : 0) |
+                   (has_ts ? kRecordHasTs : 0) | (static_cast<uint64_t>(event.target) << 32);
+  encoded.words = RecordWords(encoded.header);
+  return encoded;
+}
+
+// The published, not yet consumed words [pos, end) of a ring, as the
+// consumer sees them during one Pop().
+struct RingWindow {
+  const std::atomic<uint64_t>* words;
+  uint64_t mask;
+  uint64_t pos;
+  uint64_t end;
+
+  uint64_t left() const { return end - pos; }
+  uint64_t Take() { return words[pos++ & mask].load(std::memory_order_relaxed); }
+};
+
+// Decodes the record at the window's position into `event` (a fresh,
+// zero-initialised Event). False when the record fails a decoder check.
+inline bool DecodeEvent(RingWindow& window, runtime::Event* event) {
+  if (window.left() == 0) {
+    return false;
+  }
+  const uint64_t header = window.Take();
+  const uint64_t kind = header & 0xff;
+  const uint64_t count = (header >> 8) & 0xff;
+  if (kind > static_cast<uint64_t>(runtime::EventKind::kAssertionSite) ||
+      count > runtime::kMaxEventArgs || (header & kRecordUnknownBits) != 0 ||
+      RecordWords(header) - 1 > window.left()) {
+    return false;
+  }
+  event->kind = static_cast<runtime::EventKind>(kind);
+  event->count = static_cast<uint8_t>(count);
+  event->truncated = (header & kRecordTruncated) != 0;
+  event->target = static_cast<Symbol>(header >> 32);
+  if ((header & kRecordHasTs) != 0) {
+    event->ts_ns = window.Take();
+  }
+  for (size_t i = 0; i < count; i++) {
+    event->values[i] = static_cast<int64_t>(window.Take());
+  }
+  if ((header & kRecordHasReturn) != 0) {
+    event->return_value = static_cast<int64_t>(window.Take());
+  }
+  if ((header & kRecordHasVars) != 0) {
+    uint64_t packed = 0;
+    for (size_t i = 0; i < count; i++) {
+      if (i % 4 == 0) {
+        packed = window.Take();
+      }
+      event->vars[i] = static_cast<uint16_t>(packed >> (16 * (i % 4)));
+    }
+  }
+  return true;
+}
+
+// A ring's indices, a cacheline per side so the producer's head stores never
+// bounce the consumer's tail line; each side's cached view of the other's
+// index rides on its own line. In a shm segment this is the lane control
+// block (TSLASHM1 lays out head at byte 0 and tail at byte 64).
+struct RingControl {
+  alignas(64) std::atomic<uint64_t> head{0};
+  uint64_t cached_tail = 0;  // producer-owned
+  alignas(64) std::atomic<uint64_t> tail{0};
+  uint64_t cached_head = 0;  // consumer-owned
+};
+static_assert(sizeof(RingControl) == 128, "one cacheline per side");
+
+class EventRing {
+ public:
+  // Heap storage the ring owns: a power of two of at least `min_words`.
+  explicit EventRing(size_t min_words)
+      : mask_(std::bit_ceil(min_words) - 1),
+        owned_control_(std::make_unique<RingControl>()),
+        owned_words_(std::make_unique<std::atomic<uint64_t>[]>(mask_ + 1)) {
+    control_ = owned_control_.get();
+    words_ = owned_words_.get();
+  }
+
+  // Mapped storage the ring borrows: `capacity_words` is a power of two and
+  // both regions outlive the ring.
+  EventRing(RingControl* control, std::atomic<uint64_t>* words, uint64_t capacity_words)
+      : control_(control), words_(words), mask_(capacity_words - 1) {}
+
+  // In words, not events.
+  size_t capacity() const { return static_cast<size_t>(mask_ + 1); }
+
+  // Approximate backlog in words, readable from any thread (both indices
+  // are loaded fresh, so this is exact at some instant between the loads).
+  // Used by idle queue consumers sizing up a ring before stealing a batch.
+  size_t ApproxWords() const {
+    return static_cast<size_t>(control_->head.load(std::memory_order_acquire) -
+                               control_->tail.load(std::memory_order_acquire));
+  }
+
+  // Producer side. Wait-free; publishes one record of `count` words, which
+  // `fill(put)` writes in order through `put(uint64_t)`. False means the
+  // ring is full right now.
+  template <typename Fill>
+  bool TryPush(size_t count, Fill&& fill) {
+    RingControl& ctl = *control_;
+    const uint64_t head = ctl.head.load(std::memory_order_relaxed);
+    if (head + count - ctl.cached_tail > mask_ + 1) {
+      ctl.cached_tail = ctl.tail.load(std::memory_order_acquire);
+      if (head + count - ctl.cached_tail > mask_ + 1) {
+        return false;
+      }
+    }
+    uint64_t pos = head;
+    fill([this, &pos](uint64_t word) {
+      words_[pos++ & mask_].store(word, std::memory_order_relaxed);
+    });
+    ctl.head.store(head + count, std::memory_order_release);
     return true;
   }
 
-  // Consumer side: appends up to `max` records to `out` in push order and
-  // frees their words. Returns the number popped. Safe to decode without a
-  // length prefix because the producer publishes whole records: every word
-  // of a record at an index below head is valid.
-  size_t Pop(std::vector<QueueRecord>& out, size_t max) {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (cached_head_ == tail) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (cached_head_ == tail) {
+  // Consumer side: calls `decode(window)` once per record, in push order,
+  // until `max` records are taken or the published words run out, then
+  // frees the consumed words. `decode` reads exactly one record off the
+  // window and returns false when it fails a check, which latches the ring
+  // corrupt. Returns the number of records taken.
+  template <typename Decode>
+  size_t Pop(size_t max, Decode&& decode) {
+    if (corrupt_) {
+      return 0;
+    }
+    RingControl& ctl = *control_;
+    const uint64_t tail = ctl.tail.load(std::memory_order_relaxed);
+    if (ctl.cached_head == tail) {
+      ctl.cached_head = ctl.head.load(std::memory_order_acquire);
+      if (ctl.cached_head == tail) {
         return 0;
       }
     }
-    uint64_t pos = tail;
+    RingWindow window{words_, mask_, tail, ctl.cached_head};
+    if (window.left() > mask_ + 1) {
+      corrupt_ = true;  // head behind the tail, or past a full ring
+      return 0;
+    }
     size_t popped = 0;
-    auto take = [&] {
-      const uint64_t word = words_[pos & mask_].load(std::memory_order_relaxed);
-      pos++;
-      return word;
-    };
-    while (pos != cached_head_ && popped < max) {
-      QueueRecord record;
-      record.ctx = reinterpret_cast<runtime::ThreadContext*>(take());
-      const uint64_t header = take();
-      record.event.kind = static_cast<runtime::EventKind>(header & 0xff);
-      record.event.count = static_cast<uint8_t>((header >> 8) & 0xff);
-      record.event.truncated = (header & kHeaderTruncated) != 0;
-      record.event.target = static_cast<Symbol>(header >> 32);
-      if ((header & kHeaderHasTs) != 0) {
-        record.event.ts_ns = take();
+    uint64_t consumed = tail;  // end of the last good record
+    while (window.left() != 0 && popped < max) {
+      if (!decode(window)) {
+        corrupt_ = true;
+        break;
       }
-      for (size_t i = 0; i < record.event.count; i++) {
-        record.event.values[i] = static_cast<int64_t>(take());
-      }
-      if ((header & kHeaderHasReturn) != 0) {
-        record.event.return_value = static_cast<int64_t>(take());
-      }
-      if ((header & kHeaderHasVars) != 0) {
-        for (size_t i = 0; i < record.event.count; i++) {
-          if (i % 4 == 0) {
-            vars_scratch_ = take();
-          }
-          record.event.vars[i] =
-              static_cast<uint16_t>(vars_scratch_ >> (16 * (i % 4)));
-        }
-      }
-      out.push_back(record);
+      consumed = window.pos;
       popped++;
     }
-    tail_.store(pos, std::memory_order_release);
+    // A bad record stays unconsumed, so any later reader of the lane meets
+    // it too instead of resynchronising inside it.
+    ctl.tail.store(consumed, std::memory_order_release);
     return popped;
   }
 
- private:
-  std::unique_ptr<std::atomic<uint64_t>[]> words_;
-  size_t capacity_ = 0;
-  uint64_t mask_ = 0;
+  // A decoder check failed; the ring yields nothing from here on.
+  bool corrupt() const { return corrupt_; }
 
-  // Producer cacheline: owned index + cached view of the consumer's.
-  alignas(64) std::atomic<uint64_t> head_{0};
-  uint64_t cached_tail_ = 0;
-  // Consumer cacheline.
-  alignas(64) std::atomic<uint64_t> tail_{0};
-  uint64_t cached_head_ = 0;
-  uint64_t vars_scratch_ = 0;
+ private:
+  RingControl* control_;
+  std::atomic<uint64_t>* words_;
+  uint64_t mask_;
+  bool corrupt_ = false;
+  std::unique_ptr<RingControl> owned_control_;
+  std::unique_ptr<std::atomic<uint64_t>[]> owned_words_;
 };
 
 }  // namespace tesla::queue

@@ -40,6 +40,11 @@ enum class StepTier : uint8_t {
   kSpecialised = 1,
 };
 
+// Ceiling on a context's instance pool, whether set by
+// RuntimeOptions::instances_per_context or by plan hints. Captures and shm
+// segments carrying a larger pool are rejected as corrupt.
+inline constexpr size_t kMaxInstancesPerContext = size_t{1} << 20;
+
 struct RuntimeOptions {
   // Lazy automaton-instance initialisation (paper §5.2.2, fig. 13): bound
   // entry/exit only touch automata that received a non-initialisation event
@@ -74,7 +79,8 @@ struct RuntimeOptions {
 
   // Instances preallocated per event-serialisation context (§4.4.1:
   // "we preallocate a fixed-size memory block per thread, giving a
-  // deterministic memory footprint, and report overflows").
+  // deterministic memory footprint, and report overflows"). Clamped to
+  // kMaxInstancesPerContext.
   size_t instances_per_context = 256;
 
   // Global-automaton storage shards. Each global automaton class is assigned

@@ -223,6 +223,8 @@ void Runtime::UnlockShardAsIntruder(GlobalShard& shard) const {
 Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   const size_t requested = options_.global_shards;
   shard_count_ = static_cast<uint32_t>(requested < 1 ? 1 : (requested > 64 ? 64 : requested));
+  options_.instances_per_context =
+      std::min(options_.instances_per_context, kMaxInstancesPerContext);
   if (options_.trace_mode != trace::TraceMode::kOff) {
     recorder_ = std::make_unique<trace::Recorder>(trace::TraceConfig{
         options_.trace_mode, options_.trace_ring_capacity, options_.trace_capture_limit});
@@ -619,7 +621,7 @@ void Runtime::CompilePlan() {
       const profile::ClassHint* hint = options_.plan_hints.Find(cls.automaton.name);
       total += hint != nullptr && hint->capacity > 0 ? hint->capacity : 16;
     }
-    pool_capacity_hint_ = std::clamp<size_t>(total, 64, size_t{1} << 20);
+    pool_capacity_hint_ = std::clamp<size_t>(total, 64, kMaxInstancesPerContext);
   }
 
   // Once-only index-gate warning state: one zeroed tally per class.

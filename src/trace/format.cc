@@ -15,6 +15,41 @@ Error Corrupt(const std::string& path, const std::string& what) {
 
 }  // namespace
 
+CaptureOptions CaptureOptions::Of(const runtime::RuntimeOptions& options) {
+  return {options.lazy_init, options.use_dfa, options.instance_index,
+          options.instances_per_context, options.global_shards};
+}
+
+runtime::RuntimeOptions CaptureOptions::ToRuntimeOptions() const {
+  runtime::RuntimeOptions options;
+  options.lazy_init = lazy_init;
+  options.use_dfa = use_dfa;
+  options.instance_index = instance_index;
+  options.instances_per_context = static_cast<size_t>(instances_per_context);
+  options.global_shards = static_cast<size_t>(global_shards);
+  return options;
+}
+
+uint8_t CaptureOptions::flags() const {
+  return static_cast<uint8_t>((lazy_init ? 1 : 0) | (use_dfa ? 2 : 0) |
+                              (instance_index ? 4 : 0));
+}
+
+Result<CaptureOptions> CaptureOptions::Decode(uint8_t flags, uint64_t instances_per_context,
+                                              uint64_t global_shards) {
+  if ((flags & ~uint8_t{7}) != 0) {
+    return Error{"invalid options flags", 0, 0, kErrCorrupt};
+  }
+  if (instances_per_context > runtime::kMaxInstancesPerContext) {
+    return Error{"instances_per_context " + std::to_string(instances_per_context) +
+                     " exceeds the pool ceiling " +
+                     std::to_string(runtime::kMaxInstancesPerContext),
+                 0, 0, kErrCorrupt};
+  }
+  return CaptureOptions{(flags & 1) != 0, (flags & 2) != 0, (flags & 4) != 0,
+                        instances_per_context, global_shards};
+}
+
 TraceWriter::~TraceWriter() {
   if (out_ != nullptr) {
     std::fclose(out_);
@@ -31,10 +66,7 @@ Status TraceWriter::Open(const std::string& path, const std::string& origin,
   buffer_.clear();
   buffer_.insert(buffer_.end(), kTraceMagic, kTraceMagic + sizeof(kTraceMagic));
   PutString(buffer_, origin);
-  const uint8_t flags = static_cast<uint8_t>(options.lazy_init ? 1 : 0) |
-                        static_cast<uint8_t>(options.use_dfa ? 2 : 0) |
-                        static_cast<uint8_t>(options.instance_index ? 4 : 0);
-  buffer_.push_back(flags);
+  buffer_.push_back(options.flags());
   PutVarint(buffer_, options.instances_per_context);
   PutVarint(buffer_, options.global_shards);
   PutString(buffer_, manifest_text);
@@ -227,16 +259,19 @@ Result<TraceFile> TraceFile::Read(const std::string& path) {
 
   uint8_t flags = 0;
   uint64_t value = 0;
+  uint64_t instances_per_context = 0, global_shards = 0;
   cursor.String(&file.origin);
   cursor.Byte(&flags);
-  if (!cursor.failed && (flags & ~uint8_t{7}) != 0) {
-    return Corrupt(path, "invalid options flags");
+  cursor.Varint(&instances_per_context);
+  cursor.Varint(&global_shards);
+  if (!cursor.failed) {
+    Result<CaptureOptions> options =
+        CaptureOptions::Decode(flags, instances_per_context, global_shards);
+    if (!options.ok()) {
+      return Corrupt(path, options.error().message);
+    }
+    file.options = options.value();
   }
-  file.options.lazy_init = (flags & 1) != 0;
-  file.options.use_dfa = (flags & 2) != 0;
-  file.options.instance_index = (flags & 4) != 0;
-  cursor.Varint(&file.options.instances_per_context);
-  cursor.Varint(&file.options.global_shards);
   if (file.version >= 4) {
     cursor.String(&file.manifest_text);
   }

@@ -16,9 +16,8 @@
 //                                     timestamps or timestamp footer)
 //   origin   string                   e.g. "kernelsim:all" — names the
 //                                     manifest a replayer must register
-//   options                           the semantics-bearing RuntimeOptions:
-//     flags byte (lazy_init | use_dfa<<1 | instance_index<<2)
-//     instances_per_context, global_shards
+//   options                           the semantics-bearing RuntimeOptions
+//     (CaptureOptions): flags byte, instances_per_context, global_shards
 //   manifest string (v4)              the registered manifest, serialised in
 //     the .tesla text format (automata/manifest.h), in registration order —
 //     so assertion-site targets (automaton ids) resolve by position. Makes
@@ -127,13 +126,27 @@ inline constexpr size_t kLegacyFooterStatsFields = 14;
 static_assert(runtime::kRuntimeStatsFieldCount >= kLegacyFooterStatsFields,
               "RuntimeStats fields may be appended, never removed");
 
-// The subset of RuntimeOptions that changes replay semantics.
+// The subset of RuntimeOptions that changes replay semantics, and its one
+// codec. Captures (the options section) and shm segments (ShmHeader) carry
+// it as a flags byte plus two integers.
 struct CaptureOptions {
   bool lazy_init = true;
   bool use_dfa = false;
   bool instance_index = true;
   uint64_t instances_per_context = 256;
   uint64_t global_shards = 8;
+
+  static CaptureOptions Of(const runtime::RuntimeOptions& options);
+  // Default RuntimeOptions with these fields applied.
+  runtime::RuntimeOptions ToRuntimeOptions() const;
+
+  // lazy_init | use_dfa << 1 | instance_index << 2.
+  uint8_t flags() const;
+  // Rebuilds options read from an untrusted file or segment: kErrCorrupt
+  // for an unknown flag bit or a pool past runtime::kMaxInstancesPerContext
+  // (the runtime clamps to the same ceiling, so whatever it writes decodes).
+  static Result<CaptureOptions> Decode(uint8_t flags, uint64_t instances_per_context,
+                                       uint64_t global_shards);
 };
 
 // What the original run observed; replay must reproduce it event for event.

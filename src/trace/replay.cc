@@ -35,19 +35,12 @@ Status WriteCapture(const std::string& path, const std::string& origin,
   }
   const Snapshot snapshot = recorder->Harvest();
 
-  CaptureOptions options;
-  const runtime::RuntimeOptions& ro = rt.options();
-  options.lazy_init = ro.lazy_init;
-  options.use_dfa = ro.use_dfa;
-  options.instance_index = ro.instance_index;
-  options.instances_per_context = ro.instances_per_context;
-  options.global_shards = ro.global_shards;
-
   TraceWriter writer;
   // Embedding the registered manifest makes the capture self-describing:
   // replay prefers it over resolving `origin`, so the file replays on any
   // machine — including user assertion sets no build ships a manifest for.
-  if (Status status = writer.Open(path, origin, options, GlobalInterner(), rt.ManifestText());
+  if (Status status = writer.Open(path, origin, CaptureOptions::Of(rt.options()),
+                                  GlobalInterner(), rt.ManifestText());
       !status.ok()) {
     return status;
   }
@@ -71,12 +64,7 @@ Status WriteCapture(const std::string& path, const std::string& origin,
 }
 
 runtime::RuntimeOptions ReplayOptions(const TraceFile& file) {
-  runtime::RuntimeOptions options;
-  options.lazy_init = file.options.lazy_init;
-  options.use_dfa = file.options.use_dfa;
-  options.instance_index = file.options.instance_index;
-  options.instances_per_context = static_cast<size_t>(file.options.instances_per_context);
-  options.global_shards = static_cast<size_t>(file.options.global_shards);
+  runtime::RuntimeOptions options = file.options.ToRuntimeOptions();
   options.fail_stop = false;
   options.trace_mode = TraceMode::kOff;
   // A capture with an embedded metrics footer is replayed with counters on

@@ -3,6 +3,7 @@
 // (or, for payload-only flips, a successful parse) — never a crash, hang or
 // out-of-bounds read. This is the test the hardened reader exists for: a
 // sidecar or merge job ingests captures from machines it does not control.
+// The options section's pool size is bounded by the runtime's pool ceiling.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,8 +13,11 @@
 #include <vector>
 
 #include "runtime/event.h"
+#include "runtime/runtime.h"
 #include "support/intern.h"
 #include "trace/format.h"
+#include "trace/replay.h"
+#include "trace/wire.h"
 
 namespace tesla {
 namespace {
@@ -231,6 +235,57 @@ TEST(CorruptCapture, InvalidTimestampPresenceByteRejected) {
   auto read = TraceFile::Read(path);
   ASSERT_FALSE(read.ok());
   ExpectCleanFailure(read.error());
+  std::remove(path.c_str());
+}
+
+// The options section's pool size feeds an allocation on replay: a value
+// past the runtime's pool ceiling is corrupt, never a multi-terabyte pool.
+TEST(CorruptCapture, PoolSizePastTheCeilingRejected) {
+  const std::vector<uint8_t> bytes = ValidCaptureBytes();
+  // magic, origin "test:corrupt" (length byte + 12), flags byte 5, then the
+  // pool-size varint 256 = {0x80, 0x02}.
+  ASSERT_EQ(bytes[8], 12u);
+  ASSERT_EQ(bytes[21], 5u);
+  ASSERT_EQ(bytes[22], 0x80u);
+  ASSERT_EQ(bytes[23], 0x02u);
+  const std::string path = TempPath("tesla_corrupt_pool");
+  const struct {
+    uint64_t pool;
+    bool ok;
+  } cases[] = {{runtime::kMaxInstancesPerContext, true},
+               {runtime::kMaxInstancesPerContext + 1, false},
+               {uint64_t{1} << 40, false},
+               {UINT64_MAX, false}};
+  for (const auto& c : cases) {
+    std::vector<uint8_t> mutated(bytes.begin(), bytes.begin() + 22);
+    trace::PutVarint(mutated, c.pool);
+    mutated.insert(mutated.end(), bytes.begin() + 24, bytes.end());
+    WriteBytes(path, mutated);
+    auto read = TraceFile::Read(path);
+    if (c.ok) {
+      ASSERT_TRUE(read.ok()) << read.error().ToString();
+      EXPECT_EQ(read.value().options.instances_per_context, c.pool);
+    } else {
+      ASSERT_FALSE(read.ok()) << "pool " << c.pool << " accepted";
+      EXPECT_EQ(read.error().code, trace::kErrCorrupt);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// The runtime clamps its pool option to the same ceiling, so every capture
+// it writes decodes.
+TEST(CorruptCapture, ClampedPoolOptionRoundTrips) {
+  runtime::RuntimeOptions options;
+  options.instances_per_context = size_t{1} << 30;
+  options.trace_mode = trace::TraceMode::kFullCapture;
+  runtime::Runtime rt(options);
+  EXPECT_EQ(rt.options().instances_per_context, runtime::kMaxInstancesPerContext);
+  const std::string path = TempPath("tesla_corrupt_clamp");
+  ASSERT_TRUE(trace::WriteCapture(path, "test:clamp", rt).ok());
+  auto read = TraceFile::Read(path);
+  ASSERT_TRUE(read.ok()) << read.error().ToString();
+  EXPECT_EQ(read.value().options.instances_per_context, runtime::kMaxInstancesPerContext);
   std::remove(path.c_str());
 }
 

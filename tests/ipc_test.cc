@@ -1,7 +1,9 @@
-// tesla::ipc coverage: the shm lane record format, the publisher/subscriber
-// attach protocol, lane assignment and overflow accounting, producer-death
-// salvage, and — the load-bearing property — a sidecar drain reaching
-// verdicts, counters and transition coverage identical to inline dispatch.
+// tesla::ipc coverage: the event ring and its record format over heap and
+// mapped storage, hostile lane images and segment options, the
+// publisher/subscriber attach protocol, lane assignment and overflow
+// accounting, producer-death salvage, and — the load-bearing property — a
+// sidecar drain reaching verdicts, counters and transition coverage
+// identical to inline dispatch.
 // CI runs this binary under TSan: the cross-process protocol is exercised
 // cross-thread here, which checks the same atomics.
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "kernelsim/kernel.h"
 #include "kernelsim/workloads.h"
 #include "metrics/snapshot.h"
+#include "queue/ring.h"
 #include "runtime/handler.h"
 #include "runtime/runtime.h"
 #include "support/log.h"
@@ -33,8 +36,6 @@
 namespace tesla {
 namespace {
 
-using ipc::LaneReader;
-using ipc::LaneWriter;
 using ipc::PublisherOptions;
 using ipc::ShmPublisher;
 using ipc::ShmSegment;
@@ -73,20 +74,73 @@ bool EventsEqual(const Event& a, const Event& b) {
   return true;
 }
 
-TEST(ShmRing, PushPopRoundTripsAllEventShapes) {
-  const std::string name = ShmName("ring");
-  ShmSegment::Geometry geometry;
-  geometry.lane_count = 1;
-  geometry.lane_words = 256;
-  auto created = ShmSegment::Create(name, geometry);
-  ASSERT_TRUE(created.ok()) << created.error().ToString();
-  ShmSegment& segment = *created.value();
+// One ring over either storage: heap words the ring owns (the queue's
+// producer and forward rings) or a lane mapped from a fresh segment (the
+// publisher's and subscriber's views, two rings sharing one control block).
+class RingStorage {
+ public:
+  RingStorage(bool mapped, size_t words) {
+    if (!mapped) {
+      heap_ = std::make_unique<queue::EventRing>(words);
+      return;
+    }
+    name_ = ShmName("ring");
+    ShmSegment::Geometry geometry;
+    geometry.lane_count = 1;
+    geometry.lane_words = words;
+    auto created = ShmSegment::Create(name_, geometry);
+    EXPECT_TRUE(created.ok()) << created.error().ToString();
+    segment_ = std::move(created.value());
+    producer_ = std::make_unique<queue::EventRing>(segment_->lane(0));
+    consumer_ = std::make_unique<queue::EventRing>(segment_->lane(0));
+  }
+  ~RingStorage() {
+    if (segment_ != nullptr) {
+      ShmSegment::Unlink(name_);
+    }
+  }
 
-  LaneWriter writer{segment.lane_control(0), segment.lane_words(0),
-                    segment.header().lane_words - 1};
-  LaneReader reader{segment.lane_control(0), segment.lane_words(0),
-                    segment.header().lane_words - 1};
+  queue::EventRing& producer() { return heap_ != nullptr ? *heap_ : *producer_; }
+  queue::EventRing& consumer() { return heap_ != nullptr ? *heap_ : *consumer_; }
 
+ private:
+  std::string name_;
+  std::unique_ptr<ShmSegment> segment_;
+  std::unique_ptr<queue::EventRing> heap_, producer_, consumer_;
+};
+
+bool Push(queue::EventRing& ring, const Event& event) {
+  const queue::EncodedEvent record = queue::EncodeEvent(event);
+  return ring.TryPush(record.words, [&record](auto&& put) { record.Write(put); });
+}
+
+size_t Pop(queue::EventRing& ring, std::vector<Event>& out, size_t max) {
+  return ring.Pop(max, [&out](queue::RingWindow& window) {
+    Event event;
+    if (!queue::DecodeEvent(window, &event)) {
+      return false;
+    }
+    out.push_back(event);
+    return true;
+  });
+}
+
+// Every published word, read through the consumer side as raw words.
+std::vector<uint64_t> RawWords(queue::EventRing& ring) {
+  std::vector<uint64_t> words;
+  ring.Pop(1, [&words](queue::RingWindow& window) {
+    while (window.left() != 0) {
+      words.push_back(window.Take());
+    }
+    return true;
+  });
+  return words;
+}
+
+class EventRingTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(EventRingTest, PushPopRoundTripsAllEventShapes) {
+  RingStorage storage(GetParam(), 256);
   std::vector<Event> pushed;
   pushed.push_back(Event::Call(S("shm_fn"), {}));
   int64_t args[] = {1, -2, 0x7fffffffffffffff, -4};
@@ -102,51 +156,274 @@ TEST(ShmRing, PushPopRoundTripsAllEventShapes) {
   pushed.push_back(Event::Return(S("shm_fn"), full, 99));
 
   for (const Event& event : pushed) {
-    ASSERT_TRUE(writer.TryPush(event));
+    ASSERT_TRUE(Push(storage.producer(), event));
   }
   std::vector<Event> popped;
-  EXPECT_EQ(reader.Pop(popped, 100), pushed.size());
+  EXPECT_EQ(Pop(storage.consumer(), popped, 100), pushed.size());
   ASSERT_EQ(popped.size(), pushed.size());
   for (size_t i = 0; i < pushed.size(); i++) {
     EXPECT_TRUE(EventsEqual(pushed[i], popped[i])) << "event " << i;
   }
-  EXPECT_TRUE(reader.Empty());
-  ShmSegment::Unlink(name);
+  EXPECT_EQ(Pop(storage.consumer(), popped, 100), 0u);
+  EXPECT_FALSE(storage.consumer().corrupt());
 }
 
-TEST(ShmRing, FullLaneRejectsThenResumesAfterDrain) {
-  const std::string name = ShmName("full");
-  ShmSegment::Geometry geometry;
-  geometry.lane_count = 1;
-  geometry.lane_words = 8;  // Create rounds up to 2 * kShmMaxRecordWords = 32
-  auto created = ShmSegment::Create(name, geometry);
-  ASSERT_TRUE(created.ok());
-  ShmSegment& segment = *created.value();
-  const uint64_t mask = segment.header().lane_words - 1;
-
-  LaneWriter writer{segment.lane_control(0), segment.lane_words(0), mask};
-  LaneReader reader{segment.lane_control(0), segment.lane_words(0), mask};
-
+TEST_P(EventRingTest, FullRingRejectsThenResumesAfterDrain) {
+  // The segment rounds 8 up to 2 * kMaxRecordWords = 32 words; the heap
+  // ring gets the same 32.
+  RingStorage storage(GetParam(), GetParam() ? 8 : 32);
+  ASSERT_EQ(storage.producer().capacity(), 32u);
   int64_t args[] = {1, 2, 3, 4, 5, 6, 7, 8};
-  const Event fat = Event::Return(S("full_fn"), args, 1);  // kShmMaxRecordWords words
+  const Event fat = Event::Return(S("full_fn"), args, 1);
   size_t accepted = 0;
-  while (writer.TryPush(fat)) {
+  while (Push(storage.producer(), fat)) {
     accepted++;
   }
   EXPECT_GE(accepted, 2u);
-  EXPECT_FALSE(writer.TryPush(fat));
+  EXPECT_FALSE(Push(storage.producer(), fat));
 
   std::vector<Event> out;
-  EXPECT_EQ(reader.Pop(out, 1), 1u);  // one record of headroom
-  EXPECT_TRUE(writer.TryPush(fat));
+  EXPECT_EQ(Pop(storage.consumer(), out, 1), 1u);  // one record of headroom
+  EXPECT_TRUE(Push(storage.producer(), fat));
   out.clear();
-  while (reader.Pop(out, 100) > 0) {  // a Pop sees the head as of its call
+  while (Pop(storage.consumer(), out, 100) > 0) {  // a Pop sees the head as of its call
   }
   EXPECT_EQ(out.size(), accepted);
   for (const Event& event : out) {
     EXPECT_TRUE(EventsEqual(fat, event));
   }
+}
+
+// A worst-case record (every optional word present) written across the end
+// of the word array must decode intact.
+TEST_P(EventRingTest, WorstCaseRecordWrapsTheWordArray) {
+  RingStorage storage(GetParam(), 32);
+  ASSERT_EQ(storage.producer().capacity(), 32u);
+  std::vector<Event> out;
+  for (int i = 0; i < 25; i++) {  // one-word records: head ends at word 25
+    ASSERT_TRUE(Push(storage.producer(), Event::Call(S("wrap_fn"), {})));
+  }
+  ASSERT_EQ(Pop(storage.consumer(), out, 100), 25u);
+
+  int64_t args[] = {-1, 2, -3, 4, -5, 6, -7, 8};
+  Event worst = Event::Return(S("wrap_fn"), args, -9);
+  worst.truncated = true;
+  worst.ts_ns = 123456789;
+  for (uint16_t i = 0; i < 8; i++) {
+    worst.vars[i] = static_cast<uint16_t>(0xfff0 + i);
+  }
+  ASSERT_EQ(queue::EncodeEvent(worst).words, queue::kMaxRecordWords);
+  ASSERT_TRUE(Push(storage.producer(), worst));  // words 25..37 wrap at 32
+  out.clear();
+  ASSERT_EQ(Pop(storage.consumer(), out, 100), 1u);
+  EXPECT_TRUE(EventsEqual(worst, out[0]));
+  EXPECT_EQ(out[0].ts_ns, worst.ts_ns);
+  EXPECT_FALSE(storage.consumer().corrupt());
+}
+
+// The record layout is a wire format (TSLASHM1 lanes): these words are what
+// the encoder wrote before the queue and shm rings shared one codec.
+TEST_P(EventRingTest, GoldenWords) {
+  RingStorage storage(GetParam(), 64);
+  int64_t two[] = {1, -2};
+  int64_t one[] = {7};
+  int64_t nine[] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  Binding bindings[] = {{2, -9}, {0, 4}, {1, 0}};
+  Event events[] = {Event::Call(0x1234, two), Event::Return(0x55, one, -77),
+                    Event::FieldStore(0x66, 10, -20, 30), Event::Site(7, bindings),
+                    Event::Call(0x77, nine)};
+  events[4].ts_ns = 1000;
+  for (const Event& event : events) {
+    ASSERT_TRUE(Push(storage.producer(), event));
+  }
+  const std::vector<uint64_t> golden = {
+      0x0000123400000200, 0x0000000000000001, 0xfffffffffffffffe,  // call
+      0x0000005500020101, 0x0000000000000007, 0xffffffffffffffb3,  // return
+      0x0000006600000302, 0x000000000000000a, 0xffffffffffffffec,  // field store
+      0x000000000000001e,
+      0x0000000700040303, 0xfffffffffffffff7, 0x0000000000000004,  // site
+      0x0000000000000000, 0x0000000100000002,
+      0x0000007700090800, 0x00000000000003e8, 0x0000000000000001,  // truncated,
+      0x0000000000000002, 0x0000000000000003, 0x0000000000000004,  // stamped call
+      0x0000000000000005, 0x0000000000000006, 0x0000000000000007,
+      0x0000000000000008,
+  };
+  EXPECT_EQ(RawWords(storage.consumer()), golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(Storage, EventRingTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Mapped" : "Heap";
+                         });
+
+// A segment with a valid (empty) symbol table and `lanes` lanes of 32
+// words, as a hostile or crashed publisher could leave it.
+std::unique_ptr<ShmSegment> HandBuiltSegment(const std::string& name, uint32_t lanes) {
+  ShmSegment::Geometry geometry;
+  geometry.lane_count = lanes;
+  geometry.lane_words = 32;
+  geometry.symtab_bytes = 1;  // varint 0: no symbols
+  auto created = ShmSegment::Create(name, geometry);
+  EXPECT_TRUE(created.ok()) << created.error().ToString();
+  return std::move(created.value());
+}
+
+void PushWords(ShmSegment& segment, uint32_t lane, std::vector<uint64_t> words) {
+  queue::EventRing ring = segment.lane(lane);
+  ASSERT_TRUE(ring.TryPush(words.size(), [&words](auto&& put) {
+    for (uint64_t word : words) {
+      put(word);
+    }
+  }));
+}
+
+constexpr uint64_t kTarget = uint64_t{5} << 32;
+
+// Lane images no honest publisher writes. Each must latch the lane corrupt
+// without a decoded event ever carrying more than kMaxEventArgs values, and
+// a drain must end and report it.
+struct HostileLane {
+  const char* name;
+  void (*build)(ShmSegment& segment);
+};
+
+const HostileLane kHostileLanes[] = {
+    {"count 9",
+     [](ShmSegment& segment) {
+       PushWords(segment, 0, {kTarget | (9 << 8), 1, 2, 3, 4, 5, 6, 7, 8, 9});
+     }},
+    {"count 255",
+     [](ShmSegment& segment) {
+       PushWords(segment, 0, {kTarget | (255 << 8), 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+     }},
+    {"kind past kAssertionSite",
+     [](ShmSegment& segment) { PushWords(segment, 0, {kTarget | 4}); }},
+    {"unknown header bit",
+     [](ShmSegment& segment) { PushWords(segment, 0, {kTarget | (uint64_t{1} << 20)}); }},
+    {"record straddles the head",
+     [](ShmSegment& segment) {
+       PushWords(segment, 0, {kTarget | (3 << 8), 1});  // claims 3 values, has 1
+     }},
+    {"head behind the tail",
+     [](ShmSegment& segment) {
+       PushWords(segment, 0, {kTarget, kTarget});  // two honest calls...
+       queue::EventRing reader = segment.lane(0);
+       std::vector<Event> drained;
+       ASSERT_EQ(Pop(reader, drained, 10), 2u);  // ...consumed: tail = 2
+       segment.lane_control(0)->head.store(1, std::memory_order_release);
+     }},
+    {"head more than the capacity past the tail",
+     [](ShmSegment& segment) {
+       segment.lane_control(0)->head.store(33, std::memory_order_release);
+     }},
+};
+
+TEST(HostileLane, LatchesCorruptAndDrainEnds) {
+  Runtime rt(TestOptions());
+  automata::Manifest empty;
+  ASSERT_TRUE(rt.Register(empty).ok());
+  for (const HostileLane& hostile : kHostileLanes) {
+    SCOPED_TRACE(hostile.name);
+    const std::string name = ShmName("hostile");
+    std::unique_ptr<ShmSegment> segment = HandBuiltSegment(name, 1);
+    hostile.build(*segment);
+    // Live, from a publisher whose pid is unknown (0): only the decoder can
+    // end a drain of this lane.
+    segment->header().state.store(static_cast<uint32_t>(ShmState::kLive),
+                                  std::memory_order_release);
+
+    auto attached = ShmSubscriber::Attach(name, 100);
+    ASSERT_TRUE(attached.ok()) << attached.error().ToString();
+    std::vector<Event> events;
+    int polls = 0;
+    while (attached.value()->PollLane(0, events, 256) != 0) {
+      ASSERT_LT(++polls, 8) << "a corrupt lane keeps yielding events";
+    }
+    EXPECT_TRUE(attached.value()->LaneCorrupt(0));
+    EXPECT_EQ(attached.value()->PollLane(0, events, 256), 0u);
+    for (const Event& event : events) {
+      EXPECT_LE(event.count, runtime::kMaxEventArgs);
+    }
+
+    auto drainer = ShmSubscriber::Attach(name, 100);
+    ASSERT_TRUE(drainer.ok()) << drainer.error().ToString();
+    const ipc::DrainReport report = DrainAll(*drainer.value(), rt);
+    EXPECT_EQ(report.corrupt_lanes, 1u);
+    EXPECT_FALSE(report.producer_died);
+    ShmSegment::Unlink(name);
+  }
+}
+
+// A corrupt lane does not stop the drain of its healthy neighbours.
+TEST(HostileLane, HealthyLanesStillDrain) {
+  const std::string name = ShmName("hostile_mixed");
+  std::unique_ptr<ShmSegment> segment = HandBuiltSegment(name, 2);
+  PushWords(*segment, 0, {kTarget | 4});  // corrupt
+  PushWords(*segment, 1, {kTarget, kTarget | (1 << 8), 42});  // two honest calls
+  segment->header().state.store(static_cast<uint32_t>(ShmState::kClosed),
+                                std::memory_order_release);
+  auto attached = ShmSubscriber::Attach(name, 100);
+  ASSERT_TRUE(attached.ok()) << attached.error().ToString();
+  Runtime rt(TestOptions());
+  automata::Manifest empty;
+  ASSERT_TRUE(rt.Register(empty).ok());
+  const ipc::DrainReport report = DrainAll(*attached.value(), rt);
+  EXPECT_EQ(report.corrupt_lanes, 1u);
+  EXPECT_EQ(report.events, 2u);
   ShmSegment::Unlink(name);
+}
+
+// The segment's options go through the capture codec: an unknown flag bit or
+// a pool past the runtime's ceiling is corrupt, not a huge allocation.
+// A manifest size that wraps the layout's offset sum to zero used to pass
+// validation, placing the lane controls over the header.
+TEST(HostileLane, WrappingManifestSizeRejected) {
+  const std::string name = ShmName("hostile_geometry");
+  std::unique_ptr<ShmSegment> segment = HandBuiltSegment(name, 1);
+  const uint64_t manifest_offset = static_cast<uint64_t>(
+      segment->manifest() - reinterpret_cast<const uint8_t*>(&segment->header()));
+  segment->header().manifest_bytes = uint64_t{0} - manifest_offset;
+  segment->header().state.store(static_cast<uint32_t>(ShmState::kLive),
+                                std::memory_order_release);
+  auto attached = ShmSubscriber::Attach(name, 100);
+  ASSERT_FALSE(attached.ok());
+  EXPECT_EQ(attached.error().code, trace::kErrCorrupt) << attached.error().ToString();
+  ShmSegment::Unlink(name);
+}
+
+TEST(HostileLane, OutOfRangeOptionsRejected) {
+  struct Case {
+    const char* name;
+    uint8_t flags;
+    uint64_t instances_per_context;
+    int code;
+  };
+  const Case cases[] = {
+      {"ceiling", 5, runtime::kMaxInstancesPerContext, trace::kErrNone},
+      {"pool past the ceiling", 5, runtime::kMaxInstancesPerContext + 1, trace::kErrCorrupt},
+      {"pool 2^40", 5, uint64_t{1} << 40, trace::kErrCorrupt},
+      {"unknown flag bit", 8, 256, trace::kErrCorrupt},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string name = ShmName("hostile_options");
+    std::unique_ptr<ShmSegment> segment = HandBuiltSegment(name, 1);
+    segment->header().opt_flags = c.flags;
+    segment->header().instances_per_context = c.instances_per_context;
+    segment->header().global_shards = 8;
+    segment->header().state.store(static_cast<uint32_t>(ShmState::kLive),
+                                  std::memory_order_release);
+    auto attached = ShmSubscriber::Attach(name, 100);
+    if (c.code == trace::kErrNone) {
+      ASSERT_TRUE(attached.ok()) << attached.error().ToString();
+      EXPECT_EQ(attached.value()->PublisherRuntimeOptions().instances_per_context,
+                c.instances_per_context);
+    } else {
+      ASSERT_FALSE(attached.ok());
+      EXPECT_EQ(attached.error().code, c.code) << attached.error().ToString();
+    }
+    ShmSegment::Unlink(name);
+  }
 }
 
 // The acceptance property of the whole transport: an uninstrumented sidecar

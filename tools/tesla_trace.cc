@@ -23,6 +23,7 @@
 //                                       manifest, and dispatch its event
 //                                       stream as an out-of-process sidecar
 //                                       checker until the publisher closes
+//                                       (exit 1 if a lane is corrupt)
 //       [--manifest f.tesla]            override the embedded manifest
 //       [--origin name]                 override with a built-in origin
 //       [--out capture]                 also record a replayable capture
@@ -294,6 +295,12 @@ int Attach(const std::string& shm_name, const std::string& manifest_path,
     std::fprintf(stderr, "tesla-trace: publisher died without closing; drained "
                          "what its lanes still held\n");
   }
+  if (report.corrupt_lanes != 0) {
+    std::fprintf(stderr,
+                 "tesla-trace: %" PRIu32 " lane(s) failed the record decoder's checks "
+                 "and were abandoned — the segment is corrupt\n",
+                 report.corrupt_lanes);
+  }
   if (!capture_out.empty()) {
     if (Status status = WriteCapture(capture_out, subscriber.info().origin, rt);
         !status.ok()) {
@@ -301,7 +308,7 @@ int Attach(const std::string& shm_name, const std::string& manifest_path,
     }
     std::fprintf(stderr, "tesla-trace: wrote capture to %s\n", capture_out.c_str());
   }
-  return 0;
+  return report.corrupt_lanes != 0 ? 1 : 0;
 }
 
 int Merge(const std::vector<std::string>& paths, const std::string& output,
