@@ -25,7 +25,7 @@ std::unique_ptr<runtime::Runtime> MakeRuntime(int automata_count, bool lazy, boo
   for (int i = 0; i < automata_count; i++) {
     auto automaton = automata::CompileAssertion(
         "TESLA_WITHIN(syscall, previously(check" + std::to_string(i) + "(x) == 0))", {},
-        "a" + std::to_string(i));
+        std::string("a").append(std::to_string(i)));
     if (!automaton.ok()) {
       std::abort();
     }

@@ -12,9 +12,10 @@ std::string ArgMatchToString(const ArgMatch& match) {
     case ArgMatchKind::kLiteral:
       return std::to_string(match.literal);
     case ArgMatchKind::kVariable:
-      return "$" + std::to_string(match.var);
-    case ArgMatchKind::kIndirect:
-      return "&$" + std::to_string(match.var);
+    case ArgMatchKind::kIndirect: {
+      std::string text = match.kind == ArgMatchKind::kIndirect ? "&$" : "$";
+      return text += std::to_string(match.var);
+    }
     case ArgMatchKind::kFlags: {
       std::ostringstream out;
       out << "flags(0x" << std::hex << match.mask << ")";

@@ -1,6 +1,7 @@
 #include "buildsim/buildsim.h"
 
-#include <chrono>
+#include <time.h>
+
 #include <set>
 #include <utility>
 
@@ -13,10 +14,14 @@ namespace tesla::buildsim {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+// Sections are timed in the calling thread's CPU time. The simulated build
+// is single-threaded, so on an idle host this is its wall time; on a loaded
+// one (a parallel ctest run) preemption cannot inflate one side of a
+// default-vs-TESLA ratio.
+double ThreadSeconds() {
+  timespec now;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
 }
 
 std::string FunctionName(size_t unit, size_t index) {
@@ -179,40 +184,27 @@ Result<BuildTimes> MeasureBuild(const Corpus& corpus, const BuildOptions& option
   // All sections are measured warmed-up and as a minimum over a couple of
   // passes: the first compile in a process pays one-time costs (allocator,
   // lazy binding) and the sections are small enough that a single scheduler
-  // blip would otherwise dominate a one-shot reading.
+  // blip would otherwise dominate a one-shot reading. The default and TESLA
+  // sides of each ratio alternate pass by pass, so a load spike (e.g. a
+  // parallel ctest run) lands on both sides instead of skewing one.
   constexpr size_t kCleanPasses = 2;
 
   // --- clean default build: compile every unit, no TESLA machinery ---
-  for (size_t u = 0; u < times.units; u++) {
-    auto warmup = CompileUnit(corpus.plain_sources[u], corpus.unit_names[u]);
-    if (!warmup.ok()) {
-      return warmup.error();
-    }
-  }
-  Clock::time_point start;
-  times.clean_default_s = 0.0;
-  for (size_t pass = 0; pass < kCleanPasses; pass++) {
-    start = Clock::now();
+  auto clean_default = [&]() -> Status {
     for (size_t u = 0; u < times.units; u++) {
       auto unit = CompileUnit(corpus.plain_sources[u], corpus.unit_names[u]);
       if (!unit.ok()) {
         return unit.error();
       }
     }
-    const double elapsed = SecondsSince(start);
-    if (pass == 0 || elapsed < times.clean_default_s) {
-      times.clean_default_s = elapsed;
-    }
-  }
-
+    return Status::Ok();
+  };
   // --- clean TESLA build: compile + analyse every unit, merge the
   // program-wide manifest, instrument every unit against it ---
   std::vector<CompiledUnit> objects;
-  times.clean_tesla_s = 0.0;
-  for (size_t pass = 0; pass < kCleanPasses; pass++) {
+  auto clean_tesla = [&]() -> Status {
     std::vector<CompiledUnit> pass_objects;
     pass_objects.reserve(times.units);
-    start = Clock::now();
     for (size_t u = 0; u < times.units; u++) {
       auto unit = CompileUnit(corpus.unit_sources[u], corpus.unit_names[u]);
       if (!unit.ok()) {
@@ -233,43 +225,20 @@ Result<BuildTimes> MeasureBuild(const Corpus& corpus, const BuildOptions& option
       }
       hooks += instrumented->hooks_inserted;
     }
-    const double elapsed = SecondsSince(start);
-    if (pass == 0 || elapsed < times.clean_tesla_s) {
-      times.clean_tesla_s = elapsed;
-    }
     times.instrumented_hooks = hooks;
     objects = std::move(pass_objects);
-  }
-
+    return Status::Ok();
+  };
   // --- incremental default build: recompile only the touched unit ---
-  // Incremental rebuilds are microseconds of work, so a single scheduler
-  // blip can swamp them; warm up untimed, then report the fastest rebuild.
-  {
-    auto warmup = CompileUnit(corpus.plain_sources[modified], corpus.unit_names[modified]);
-    if (!warmup.ok()) {
-      return warmup.error();
-    }
-  }
-  times.incremental_default_s = 0.0;
-  for (size_t r = 0; r < repeats; r++) {
-    start = Clock::now();
+  auto incremental_default = [&]() -> Status {
     auto unit = CompileUnit(corpus.plain_sources[modified], corpus.unit_names[modified]);
-    if (!unit.ok()) {
-      return unit.error();
-    }
-    const double elapsed = SecondsSince(start);
-    if (r == 0 || elapsed < times.incremental_default_s) {
-      times.incremental_default_s = elapsed;
-    }
-  }
-
+    return unit.ok() ? Status::Ok() : Status(unit.error());
+  };
   // --- incremental TESLA build: recompile the touched unit, re-merge the
   // program-wide manifest, then re-instrument — naively every unit (any
   // .tesla change invalidates all instrumented IR), or, in smart mode, only
   // units the modified unit's automata can reach ---
-  times.incremental_tesla_s = 0.0;
-  for (size_t r = 0; r < repeats; r++) {
-    start = Clock::now();
+  auto incremental_tesla = [&]() -> Status {
     auto rebuilt = CompileUnit(corpus.unit_sources[modified], corpus.unit_names[modified]);
     if (!rebuilt.ok()) {
       return rebuilt.error();
@@ -295,12 +264,40 @@ Result<BuildTimes> MeasureBuild(const Corpus& corpus, const BuildOptions& option
         return instrumented.error();
       }
     }
-    const double elapsed = SecondsSince(start);
-    if (r == 0 || elapsed < times.incremental_tesla_s) {
-      times.incremental_tesla_s = elapsed;
+    return Status::Ok();
+  };
+  // Runs one section and keeps the fastest time in `best`.
+  auto timed = [](auto& section, double& best, size_t pass) -> Status {
+    const double start = ThreadSeconds();
+    Status status = section();
+    const double elapsed = ThreadSeconds() - start;
+    if (pass == 0 || elapsed < best) {
+      best = elapsed;
+    }
+    return status;
+  };
+
+  Status status = clean_default();  // untimed warm-up
+  for (size_t pass = 0; pass < kCleanPasses && status.ok(); pass++) {
+    status = timed(clean_default, times.clean_default_s, pass);
+    if (status.ok()) {
+      status = timed(clean_tesla, times.clean_tesla_s, pass);
     }
   }
-
+  // Incremental rebuilds are microseconds of work, so a single scheduler
+  // blip can swamp them; warm up untimed, then report the fastest rebuild.
+  if (status.ok()) {
+    status = incremental_default();
+  }
+  for (size_t r = 0; r < repeats && status.ok(); r++) {
+    status = timed(incremental_default, times.incremental_default_s, r);
+    if (status.ok()) {
+      status = timed(incremental_tesla, times.incremental_tesla_s, r);
+    }
+  }
+  if (!status.ok()) {
+    return status.error();
+  }
   return times;
 }
 

@@ -10,7 +10,7 @@
 // synthetic multi-unit corpus (each unit in the cfront dialect, with
 // cross-unit calls and optional inline TESLA assertions), then drives
 // cfront + analyser + instrumenter through the four build configurations
-// (clean/incremental x default/TESLA) with wall-clock timing. The
+// (clean/incremental x default/TESLA), timed in thread CPU time. The
 // smart-incremental mode models the paper's suggested "further build
 // optimisation": only units that define or call a function hooked by the
 // modified unit's automata are re-instrumented.
@@ -71,7 +71,7 @@ struct BuildOptions {
 struct BuildTimes {
   size_t units = 0;
 
-  // The paper's four bars (seconds).
+  // The paper's four bars (seconds of the measuring thread's CPU time).
   double clean_default_s = 0.0;
   double clean_tesla_s = 0.0;
   double incremental_default_s = 0.0;

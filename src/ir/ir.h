@@ -61,7 +61,7 @@ struct Instr {
   uint32_t hook_id = 0;       // kHook
   uint32_t then_block = 0;    // kBr / kCondBr
   uint32_t else_block = 0;    // kCondBr
-  std::vector<Reg> args;      // kCall / kCallIndirect / kHook
+  std::vector<Reg> args{};    // kCall / kCallIndirect / kHook
 };
 
 struct Block {

@@ -150,6 +150,19 @@ const char* ViolationKindName(ViolationKind kind) {
   return "?";
 }
 
+namespace {
+
+// Adds every cell of `block` into `total`. Each read is a relaxed atomic
+// load: the block's single writer may be bumping it meanwhile.
+void AddStats(RuntimeStats& total, RuntimeStats& block) {
+#define TESLA_STATS_ADD(name, desc, replay) \
+  total.name += std::atomic_ref<uint64_t>(block.name).load(std::memory_order_relaxed);
+  TESLA_RUNTIME_STATS(TESLA_STATS_ADD)
+#undef TESLA_STATS_ADD
+}
+
+}  // namespace
+
 // --- ThreadContext ---
 
 ThreadContext::ThreadContext(Runtime& runtime)
@@ -190,7 +203,6 @@ thread_local const Runtime* Runtime::engaged_runtime_ = nullptr;
 thread_local uint64_t Runtime::engaged_shards_ = 0;
 thread_local const Runtime* Runtime::scope_runtime_ = nullptr;
 thread_local const DispatchScope* Runtime::active_scope_ = nullptr;
-thread_local Runtime::StatsFrame* Runtime::stats_frame_ = nullptr;
 thread_local uint64_t Runtime::current_event_ts_ = 0;
 
 // The intruder side of the shard-ownership protocol (see GlobalShard in
@@ -204,9 +216,8 @@ void Runtime::LockShardAsIntruder(GlobalShard& shard) const {
   shard.lock.lock();
   if (shard.owner_id.load(std::memory_order_relaxed) >= 0) {
     // An inline/sync dispatch landed on a consumer-owned shard: the handoff
-    // path. stats_ is logically mutable here (const accessors intrude too).
-    std::atomic_ref<uint64_t>(const_cast<uint64_t&>(stats_.shard_handoffs))
-        .fetch_add(1, std::memory_order_relaxed);
+    // path.
+    BumpShared(stats_.shard_handoffs);
   }
   while (shard.owner_active.load(std::memory_order_seq_cst)) {
     // Owner mid-claim: it will see our intruder announcement and retreat.
@@ -245,33 +256,16 @@ void Runtime::UnregisterContext(ThreadContext* ctx) {
   LockGuard<Spinlock> guard(contexts_lock_);
   live_contexts_.erase(std::remove(live_contexts_.begin(), live_contexts_.end(), ctx),
                        live_contexts_.end());
-  // Fold the departing pool's marks into the retired maxima so its peak
-  // still shows in CollectProfile()'s capacity-headroom figures.
+  // Fold the departing counts into the retired block, and the departing
+  // pool's marks into the retired maxima so its peak still shows in
+  // CollectProfile()'s capacity-headroom figures.
+  AddStats(retired_stats_, ctx->stats_);
   retired_pool_high_water_ =
       std::max<uint64_t>(retired_pool_high_water_, ctx->store_.high_water());
   retired_pool_capacity_ = std::max<uint64_t>(retired_pool_capacity_, ctx->store_.capacity());
 }
 
 Runtime::~Runtime() = default;
-
-void Runtime::FlushStatsFrame(StatsFrame& frame) {
-  uint64_t* counters = reinterpret_cast<uint64_t*>(&stats_);
-  for (size_t i = 0; i < kRuntimeStatsFieldCount; i++) {
-    if (frame.delta[i] != 0) {
-      std::atomic_ref<uint64_t>(counters[i]).fetch_add(frame.delta[i],
-                                                       std::memory_order_relaxed);
-      frame.delta[i] = 0;
-    }
-  }
-}
-
-void Runtime::FlushThreadStats() {
-  for (StatsFrame* frame = stats_frame_; frame != nullptr; frame = frame->prev) {
-    if (frame->runtime == this) {
-      FlushStatsFrame(*frame);
-    }
-  }
-}
 
 Status Runtime::Register(const automata::Manifest& manifest) {
   for (const automata::Automaton& source : manifest.automata) {
@@ -325,12 +319,20 @@ Status Runtime::Register(const automata::Manifest& manifest) {
   CompilePlan();
 
   // (Re)create the sharded global stores now that classes and the plan are
-  // known; their contexts size themselves from the plan's slot counts.
+  // known; their contexts size themselves from the plan's slot counts. Only
+  // a shard some global class maps to gets a context — an empty one would
+  // carry a full instance pool, class table, obs shard and trace ring.
+  uint64_t hosting = 0;
+  for (const CompiledClass& cls : classes_) {
+    hosting |= cls.is_global ? uint64_t{1} << cls.shard : 0;
+  }
   shards_.clear();
   shards_.reserve(shard_count_);
   for (uint32_t i = 0; i < shard_count_; i++) {
     auto shard = std::make_unique<GlobalShard>();
-    shard->context = std::make_unique<ThreadContext>(*this);
+    if (((hosting >> i) & 1) != 0) {
+      shard->context = std::make_unique<ThreadContext>(*this);
+    }
     shards_.push_back(std::move(shard));
   }
   return Status::Ok();
@@ -672,24 +674,46 @@ int Runtime::FindAutomaton(const std::string& name) const {
 
 // --- stats & metrics snapshots ---
 
+RuntimeStats Runtime::stats() const {
+  RuntimeStats total;
+  LockGuard<Spinlock> guard(contexts_lock_);
+  AddStats(total, stats_);
+  AddStats(total, retired_stats_);
+  for (ThreadContext* ctx : live_contexts_) {
+    AddStats(total, ctx->stats_);
+  }
+  return total;
+}
+
+size_t Runtime::context_count() const {
+  LockGuard<Spinlock> guard(contexts_lock_);
+  return live_contexts_.size();
+}
+
 void Runtime::ResetStats() {
-  stats_ = RuntimeStats{};
   // RuntimeStats::overflows is fed by per-context pool tallies; a reset that
   // leaves those behind would double-report them through pool_overflows()
   // style accessors. The pool high-water marks rewind with them — a
   // measurement window opened now must not inherit an earlier peak through
   // shard_pool_high_water() or a profile snapshot.
   for (uint32_t s = 0; s < shards_.size(); s++) {
-    ShardGuard guard(*this, s, !ShardHeld(s));
-    shards_[s]->context->store_.ResetOverflows();
-    shards_[s]->context->store_.ResetHighWater();
+    if (ThreadContext* storage = shards_[s]->context.get()) {
+      ShardGuard guard(*this, s, !ShardHeld(s));
+      storage->store_.ResetOverflows();
+      storage->store_.ResetHighWater();
+    }
   }
   {
-    // Per-thread contexts rewind too (their owners hold no overflow-style
-    // tally, but their pool peaks feed CollectProfile), and the retired
-    // maxima restart from nothing. Quiescent-point contract as above.
+    // Every context's stats cells zero, shard contexts included; per-thread
+    // pools rewind too (their owners hold no overflow-style tally, but their
+    // pool peaks feed CollectProfile), and the retired block and maxima
+    // restart from nothing. Quiescent-point contract as above; stats()
+    // readers are held off by the registry lock.
     LockGuard<Spinlock> guard(contexts_lock_);
+    stats_ = RuntimeStats{};
+    retired_stats_ = RuntimeStats{};
     for (ThreadContext* ctx : live_contexts_) {
+      ctx->stats_ = RuntimeStats{};
       ctx->store_.ResetHighWater();
     }
     retired_pool_high_water_ = 0;
@@ -703,8 +727,10 @@ void Runtime::ResetStats() {
 uint64_t Runtime::shard_pool_overflows() const {
   uint64_t total = 0;
   for (uint32_t s = 0; s < shards_.size(); s++) {
-    ShardGuard guard(*this, s, !ShardHeld(s));
-    total += shards_[s]->context->store_.overflows();
+    if (const ThreadContext* storage = shards_[s]->context.get()) {
+      ShardGuard guard(*this, s, !ShardHeld(s));
+      total += storage->store_.overflows();
+    }
   }
   return total;
 }
@@ -712,8 +738,10 @@ uint64_t Runtime::shard_pool_overflows() const {
 uint64_t Runtime::shard_pool_high_water() const {
   uint64_t peak = 0;
   for (uint32_t s = 0; s < shards_.size(); s++) {
-    ShardGuard guard(*this, s, !ShardHeld(s));
-    peak = std::max<uint64_t>(peak, shards_[s]->context->store_.high_water());
+    if (const ThreadContext* storage = shards_[s]->context.get()) {
+      ShardGuard guard(*this, s, !ShardHeld(s));
+      peak = std::max<uint64_t>(peak, storage->store_.high_water());
+    }
   }
   return peak;
 }
@@ -751,7 +779,7 @@ std::string Runtime::ManifestText() const {
 
 metrics::Snapshot Runtime::CollectMetrics() const {
   metrics::Snapshot snapshot;
-  snapshot.stats = stats_;
+  snapshot.stats = stats();
   if (counters_ == nullptr) {
     AugmentSnapshot(snapshot);
     return snapshot;
@@ -940,7 +968,7 @@ void Runtime::GrowClassStates(ThreadContext& storage) {
 
 // Always inlined into its three entry points, so each gets the loop
 // specialised to its own shape: OnEvent's copy folds to the single-event
-// path (no frame, no claim, no scope), the batch entry points keep the rest.
+// path (no claim, no scope), the batch entry points keep the rest.
 // As an out-of-line call it added ~5% to bench_e2e's oltp_inline slowdown.
 [[gnu::always_inline]] inline void Runtime::Dispatch(ThreadContext& ctx,
                                                      std::span<const Event> events,
@@ -961,15 +989,11 @@ void Runtime::GrowClassStates(ThreadContext& storage) {
   const bool record = context_stage && recorder_ != nullptr && ctx.trace_ != nullptr;
   const bool timed = context_stage && time_dispatch_ && ctx.obs_ != nullptr;
   if (scope == nullptr && events.size() == 1) {
-    // A single unscoped event (OnEvent's steady state) pays for neither a
-    // stats frame nor an up-front claim: its counters go straight to the
-    // shared stats and its shards are taken per event by ShardGuard.
+    // A single unscoped event (OnEvent's steady state) takes no up-front
+    // claim: its shards are taken per event by ShardGuard.
     DispatchEvent(ctx, events.front(), context_stage, record, timed);
     return;
   }
-  // Batch the stats alongside the claim: every Bump in the batch becomes a
-  // plain add into a thread-local frame, flushed once on exit (StatsBatch).
-  StatsBatch stats_batch(*this);
   // Claim the shards this call may touch once for the whole batch. Shards
   // a consumer owns take the owner fast path only under a scope (the queue
   // routed them to this consumer); unscoped callers intrude like everyone
@@ -1057,15 +1081,15 @@ void Runtime::DispatchEvent(ThreadContext& ctx, const Event& event, bool context
     current_event_ts_ = event.ts_ns != 0 ? event.ts_ns : NowNs();
     if (context_stage) {
       if (current_event_ts_ < ctx.timed_now_) [[unlikely]] {
-        Bump(stats_.clock_regressions);
+        Bump(ctx.stats_.clock_regressions);
       }
       TimedTick(ctx, current_event_ts_);
     }
   }
   if (context_stage) {
-    Bump(stats_.events);
+    Bump(ctx.stats_.events);
     if (event.truncated) {
-      Bump(stats_.arg_truncations);
+      Bump(ctx.stats_.arg_truncations);
     }
     if (record) {
       recorder_->Record(*ctx.trace_, event);
@@ -1095,7 +1119,7 @@ void Runtime::DispatchEvent(ThreadContext& ctx, const Event& event, bool context
       // A stepped clock produced a negative delta. The sample still lands
       // in bucket 0 (dropping it would skew sample counts), but it is
       // counted so a depressed p50 can be traced to the clock, not TESLA.
-      Bump(stats_.negative_latencies);
+      Bump(ctx.stats_.negative_latencies);
     }
     ctx.obs_->RecordLatency(static_cast<size_t>(event.kind),
                             ns > 0 ? static_cast<uint64_t>(ns) : 0);
@@ -1116,7 +1140,7 @@ void Runtime::ProcessFunctionEvent(ThreadContext& ctx, const Event& event) {
       // A return with no tracked call: the stream started mid-call (e.g. a
       // wrapped flight-recorder capture). Clamp instead of going negative,
       // which would poison incallstack() for the rest of the run.
-      Bump(stats_.unmatched_returns);
+      Bump(ctx.stats_.unmatched_returns);
     } else {
       depth += is_return ? -1 : 1;
     }
@@ -1217,7 +1241,7 @@ void Runtime::ProcessSiteEvent(ThreadContext& ctx, const Event& event) {
       const bool indexed = options_.instance_index && fast_cls.key_mask != 0;
       if (indexed) {
         // An unbound event cannot cover the key tuple: always a scan.
-        Bump(stats_.index_scans);
+        Bump(ctx.stats_.index_scans);
       }
       if (metrics::Shard* shard = ctx.obs_) {
         // Same attribution the generic route computes for an unbound site:
@@ -1238,7 +1262,7 @@ void Runtime::ProcessSiteEvent(ThreadContext& ctx, const Event& event) {
           state.instances.size(),
           std::span<const uint16_t>(&fast_cls.automaton.site_symbol, 1));
       if (stepped != 0) [[likely]] {
-        Bump(stats_.transitions, stepped);
+        Bump(ctx.stats_.transitions, stepped);
         BumpClass(ctx, automaton_id, metrics::Cell::transitions, stepped);
         return;
       }
@@ -1276,7 +1300,7 @@ void Runtime::ProcessSiteEvent(ThreadContext& ctx, const Event& event) {
 
 void Runtime::HandleBoundStart(ThreadContext& ctx, const KeyPlan& plan) {
   if (ScopeContext()) {
-    Bump(stats_.bound_entries);
+    Bump(ctx.stats_.bound_entries);
   }
   if (options_.lazy_init) {
     // O(1): bump the bound's epoch; instances materialise on first real
@@ -1317,7 +1341,7 @@ void Runtime::HandleBoundStart(ThreadContext& ctx, const KeyPlan& plan) {
 void Runtime::HandleBoundEnd(ThreadContext& ctx, const KeyPlan& plan) {
   const bool context_stage = ScopeContext();
   if (context_stage) {
-    Bump(stats_.bound_exits);
+    Bump(ctx.stats_.bound_exits);
   }
   if (!options_.lazy_init) {
     for (uint32_t i = 0; i < plan.end_count; i++) {
@@ -1409,7 +1433,7 @@ void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
 
   uint32_t wildcard = storage.store_.Allocate();
   if (wildcard == kNoSlot) {
-    Bump(stats_.overflows);
+    Bump(storage.stats_.overflows);
     ReportViolation(class_id, ViolationKind::kOverflow, "no space for (*) instance");
     state.active = false;
     return;
@@ -1419,8 +1443,8 @@ void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
   state.instances.push_back(wildcard);
   IndexInstance(storage, cls, state, wildcard);
   state.active = true;
-  Bump(stats_.instances_created);
-  Bump(stats_.transitions);  // the «init» transition itself
+  Bump(storage.stats_.instances_created);
+  Bump(storage.stats_.transitions);  // the «init» transition itself
   BumpClass(storage, class_id, metrics::Cell::instances_created);
   BumpClass(storage, class_id, metrics::Cell::transitions);
   if (counters_ != nullptr) {
@@ -1466,7 +1490,7 @@ void Runtime::CleanupClass(ThreadContext& ctx, uint32_t class_id) {
   const uint16_t cleanup_symbol = cls.automaton.cleanup_symbol;
   for (uint32_t slot : state.instances) {
     if (StepSlot(cls, storage, slot, std::span<const uint16_t>(&cleanup_symbol, 1))) {
-      Bump(stats_.accepts);
+      Bump(storage.stats_.accepts);
       BumpClass(storage, class_id, metrics::Cell::accepts);
       if (!handlers_.empty()) {
         const Instance view = storage.store_.Materialize(slot);
@@ -1578,7 +1602,7 @@ void Runtime::FireExpired(ThreadContext& storage, uint64_t now_ns) {
     cell.serial++;
     const CompiledClass& cls = classes_[entry.class_id];
     const automata::TimedSpec& spec = cls.automaton.timed[entry.spec];
-    Bump(stats_.deadline_expiries);
+    Bump(storage.stats_.deadline_expiries);
     if (metrics::Shard* shard = ProfileShard(storage, entry.class_id)) {
       shard->Add(entry.class_id, metrics::Cell::deadline_expiries);
     }
@@ -1623,7 +1647,7 @@ void Runtime::TimedObserve(ThreadContext& storage, const CompiledClass& cls,
         cell.armed = true;
         cell.serial++;
         cell.deadline_ns = now + spec.bound_ns;
-        Bump(stats_.deadline_arms);
+        Bump(storage.stats_.deadline_arms);
         if (metrics::Shard* shard = ProfileShard(storage, cls.id)) {
           shard->Add(cls.id, metrics::Cell::deadline_arms);
         }
@@ -1666,7 +1690,7 @@ void Runtime::TimedObserve(ThreadContext& storage, const CompiledClass& cls,
       cell.window_count++;
       if (cell.window_count > spec.limit && !cell.window_tripped) {
         cell.window_tripped = true;  // one report per window
-        Bump(stats_.rate_violations);
+        Bump(storage.stats_.rate_violations);
         ReportViolation(cls.id, ViolationKind::kRateExceeded,
                         "rate(" + std::to_string(spec.limit) + ", per_ms(" +
                             std::to_string(spec.bound_ns / 1000000) + ")) exceeded: event " +
@@ -1699,41 +1723,36 @@ void Runtime::HandleEvent(ThreadContext& ctx, const Candidate& candidate,
 
 void Runtime::HandleEventLocked(ThreadContext& ctx, const Candidate& candidate,
                                 const BindingSet& bindings) {
-  const CompiledClass& timed_cls = classes_[candidate.class_id];
-  if (timed_cls.timed) [[unlikely]] {
+  const CompiledClass& cls = classes_[candidate.class_id];
+  ThreadContext& storage = ContextFor(ctx, candidate.class_id);
+  if (cls.timed) [[unlikely]] {
     // Expiries precede the arriving event: an event at ts == deadline can
     // still satisfy its region, anything strictly later fires first.
-    TimedTick(ContextFor(ctx, candidate.class_id), current_event_ts_);
+    TimedTick(storage, current_event_ts_);
   }
   if (!EnsureActive(ctx, candidate.class_id)) {
     return;
   }
-  const uint16_t symbol = candidate.symbol;
-  bool stepped = DispatchToInstances(ctx, candidate.class_id, bindings,
-                                     std::span<const uint16_t>(&symbol, 1));
-  if (timed_cls.timed) [[unlikely]] {
-    TimedObserve(ContextFor(ctx, candidate.class_id), timed_cls,
-                 StateFor(ctx, candidate.class_id),
-                 std::span<const uint16_t>(&symbol, 1), stepped);
+  const std::span<const uint16_t> symbol(&candidate.symbol, 1);
+  const bool stepped = DispatchToInstances(ctx, candidate.class_id, bindings, symbol);
+  if (cls.timed) [[unlikely]] {
+    TimedObserve(storage, cls, StateFor(ctx, candidate.class_id), symbol, stepped);
   }
-  if (!stepped) {
-    if (classes_[candidate.class_id].automaton.strict) {
-      ThreadContext& storage = ContextFor(ctx, candidate.class_id);
-      automata::StateSet live = 0;
-      for (uint32_t slot : StateFor(ctx, candidate.class_id).instances) {
-        live |= storage.store_.states(slot);
-      }
-      ReportViolation(candidate.class_id, ViolationKind::kStrictEvent,
-                      "event '" +
-                          classes_[candidate.class_id]
-                              .automaton.alphabet[candidate.symbol]
-                              .ToString() +
-                          "' had no valid transition",
-                      live);
-    } else {
-      Bump(stats_.ignored_events);
-    }
+  if (stepped) {
+    return;
   }
+  if (!cls.automaton.strict) {
+    Bump(storage.stats_.ignored_events);
+    return;
+  }
+  automata::StateSet live = 0;
+  for (uint32_t slot : StateFor(ctx, candidate.class_id).instances) {
+    live |= storage.store_.states(slot);
+  }
+  ReportViolation(candidate.class_id, ViolationKind::kStrictEvent,
+                  "event '" + cls.automaton.alphabet[candidate.symbol].ToString() +
+                      "' had no valid transition",
+                  live);
 }
 
 void Runtime::HandleSiteEvent(ThreadContext& ctx, uint32_t class_id,
@@ -1749,7 +1768,7 @@ void Runtime::HandleSiteEvent(ThreadContext& ctx, uint32_t class_id,
     TimedTick(storage, current_event_ts_);
   }
   if (!EnsureActive(ctx, cls, storage, state)) {
-    Bump(stats_.ignored_events);  // site reached outside its temporal bound
+    Bump(storage.stats_.ignored_events);  // site reached outside its temporal bound
     return;
   }
 
@@ -1767,7 +1786,7 @@ void Runtime::HandleSiteEvent(ThreadContext& ctx, uint32_t class_id,
       // The assertion's expression references no site event (e.g. a pure
       // TSEQUENCE or optional() form); the site marker carries no automaton
       // meaning and is ignored.
-      Bump(stats_.ignored_events);
+      Bump(storage.stats_.ignored_events);
       return;
     }
     symbol_span = std::span<const uint16_t>(&cls.automaton.site_symbol, 1);
@@ -1846,26 +1865,26 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
       // still files every clone — so the probe path is valid again the
       // moment the population grows past the threshold. Per-class since
       // plan hints can override the knob (min_population=0 probes always).
-      Bump(stats_.index_scans);
+      Bump(storage.stats_.index_scans);
       route = metrics::Cell::small_population;
     } else {
       const uint32_t bound = BindingsVarMask(bindings.entries, bindings.count);
       if (bound == cls.key_mask) {
-        Bump(stats_.index_probes);
+        Bump(storage.stats_.index_probes);
         route = metrics::Cell::index_probes;
       } else if (cls.prefix_pos != CompiledClass::kNoPrefix &&
                  ((bound >> cls.prefix_var) & 1) != 0) {
         // Partially bound, but the profile-hinted prefix variable is bound:
         // the secondary index narrows the walk to one prefix bucket plus
         // the short prefix-unbound tail.
-        Bump(stats_.index_probes);
+        Bump(storage.stats_.index_probes);
         route = metrics::Cell::prefix_probes;
       } else {
         // An event binding a strict subset (or superset) of the key
         // variables cannot be answered by one bucket; fall back to the
         // scan. The index stays coherent because clone insertion goes
         // through IndexInstance.
-        Bump(stats_.index_scans);
+        Bump(storage.stats_.index_scans);
         route = metrics::Cell::partial_bound;
       }
     }
@@ -1899,7 +1918,7 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
     // sample still lands in bucket 0 (dropping it would skew sample
     // counts), but the stepped clock is counted instead of silently
     // clamped — a depressed sampled p50 must be traceable to the clock.
-    Bump(stats_.negative_latencies);
+    Bump(storage.stats_.negative_latencies);
   }
   shard->Add(class_id, metrics::Cell::latency_ns, ns > 0 ? static_cast<uint64_t>(ns) : 0);
   shard->Add(class_id, metrics::Cell::latency_samples);
@@ -1981,7 +2000,7 @@ bool Runtime::DispatchIndexed(ThreadContext& storage, const CompiledClass& cls,
     }
     uint32_t slot = storage.store_.Allocate();
     if (slot == kNoSlot) {
-      Bump(stats_.overflows);
+      Bump(storage.stats_.overflows);
       ReportViolation(cls.id, ViolationKind::kOverflow, "no space to clone instance");
       continue;
     }
@@ -1995,7 +2014,7 @@ bool Runtime::DispatchIndexed(ThreadContext& storage, const CompiledClass& cls,
     }
     new_head = slot;
     any_step = true;
-    Bump(stats_.instances_cloned);
+    Bump(storage.stats_.instances_cloned);
     BumpClass(storage, cls.id, metrics::Cell::instances_cloned);
     if (!handlers_.empty()) {
       const Instance parent_view = storage.store_.Materialize(parent);
@@ -2026,7 +2045,7 @@ bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, Cla
         cls.step.RunBatch(counters_, storage.store_.hot_data(), state.instances.data(),
                           state.instances.size(), symbols);
     if (stepped != 0) {
-      Bump(stats_.transitions, stepped);
+      Bump(storage.stats_.transitions, stepped);
       BumpClass(storage, cls.id, metrics::Cell::transitions, stepped);
     }
     return stepped != 0;
@@ -2079,7 +2098,7 @@ bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, Cla
     }
     uint32_t slot = storage.store_.Allocate();
     if (slot == kNoSlot) {
-      Bump(stats_.overflows);
+      Bump(storage.stats_.overflows);
       ReportViolation(cls.id, ViolationKind::kOverflow, "no space to clone instance");
       continue;
     }
@@ -2087,7 +2106,7 @@ bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, Cla
     state.instances.push_back(slot);
     IndexInstance(storage, cls, state, slot);
     any_step = true;
-    Bump(stats_.instances_cloned);
+    Bump(storage.stats_.instances_cloned);
     BumpClass(storage, cls.id, metrics::Cell::instances_cloned);
     if (!handlers_.empty()) {
       const Instance parent_view = storage.store_.Materialize(parent);
@@ -2206,7 +2225,7 @@ bool Runtime::DispatchPrefix(ThreadContext& storage, const CompiledClass& cls,
     }
     uint32_t slot = storage.store_.Allocate();
     if (slot == kNoSlot) {
-      Bump(stats_.overflows);
+      Bump(storage.stats_.overflows);
       ReportViolation(cls.id, ViolationKind::kOverflow, "no space to clone instance");
       return;
     }
@@ -2214,7 +2233,7 @@ bool Runtime::DispatchPrefix(ThreadContext& storage, const CompiledClass& cls,
     state.instances.push_back(slot);
     IndexInstance(storage, cls, state, slot);
     any_step = true;
-    Bump(stats_.instances_cloned);
+    Bump(storage.stats_.instances_cloned);
     BumpClass(storage, cls.id, metrics::Cell::instances_cloned);
     if (!handlers_.empty()) {
       const Instance parent_view = storage.store_.Materialize(parent);
@@ -2241,7 +2260,7 @@ bool Runtime::StepSlot(const CompiledClass& cls, ThreadContext& storage, uint32_
                 &from, &symbol)) {
     return false;
   }
-  Bump(stats_.transitions);
+  Bump(storage.stats_.transitions);
   BumpClass(storage, cls.id, metrics::Cell::transitions);
   if (!handlers_.empty()) {
     ClassInfo info{cls.id, &cls.automaton};
@@ -2260,7 +2279,7 @@ bool Runtime::StepInstance(const CompiledClass& cls, ThreadContext& storage,
   if (!StepCore(cls, instance.states, instance.dfa_state, symbols, &from, &symbol)) {
     return false;
   }
-  Bump(stats_.transitions);
+  Bump(storage.stats_.transitions);
   BumpClass(storage, cls.id, metrics::Cell::transitions);
   if (!handlers_.empty()) {
     ClassInfo info{cls.id, &cls.automaton};
@@ -2326,11 +2345,7 @@ bool Runtime::MatchArg(const automata::ArgMatch& match, int64_t value,
 
 void Runtime::ReportViolation(uint32_t class_id, ViolationKind kind, const std::string& detail,
                               automata::StateSet highlight) {
-  Bump(stats_.violations);
-  // A violation handler (or the fail-stop abort below) may read stats();
-  // push any batched deltas out so it sees everything that led up to the
-  // violation, including the violation itself.
-  FlushThreadStats();
+  BumpShared(stats_.violations);
   if (counters_ != nullptr) {
     // No storage context is in scope here; the lock-guarded spill table is
     // fine for a path that already formats strings.

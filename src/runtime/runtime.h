@@ -188,6 +188,9 @@ class ThreadContext {
   std::unique_ptr<DeadlineWheel> wheel_;
   uint64_t timed_now_ = 0;
   std::vector<DeadlineWheel::Entry> fired_;
+  // This context's RuntimeStats cells (Runtime::Bump), single-writer like
+  // the rest; cache-line aligned so no neighbouring object shares them.
+  alignas(64) RuntimeStats stats_;
 };
 
 class Runtime {
@@ -234,20 +237,20 @@ class Runtime {
   // exposition formats surface it): a consumer batch of `events` events
   // dispatched, and `dropped` events rejected at enqueue.
   void AccountQueueBatch(uint64_t events) {
-    Bump(stats_.queue_events, events);
-    Bump(stats_.queue_batches);
+    BumpShared(stats_.queue_events, events);
+    BumpShared(stats_.queue_batches);
   }
-  void AccountQueueDrops(uint64_t dropped) { Bump(stats_.queue_drops, dropped); }
-  void AccountQueueForwards(uint64_t forwards) { Bump(stats_.queue_forwards, forwards); }
-  void AccountQueueSteals(uint64_t steals) { Bump(stats_.queue_steals, steals); }
+  void AccountQueueDrops(uint64_t dropped) { BumpShared(stats_.queue_drops, dropped); }
+  void AccountQueueForwards(uint64_t forwards) { BumpShared(stats_.queue_forwards, forwards); }
+  void AccountQueueSteals(uint64_t steals) { BumpShared(stats_.queue_steals, steals); }
 
   // Batch ingestion: semantically identical to dispatching each element
-  // through OnEvent — events are counted one at a time, so a violation
-  // handler reading stats() mid-batch sees exactly what OnEvent would show —
-  // but amortises the per-call overheads: plan-capacity checks run once,
-  // counters accumulate in a thread-local frame, and when global automata
-  // are registered every shard is claimed once for the whole batch instead
-  // of once per event (nested per-event acquisitions are elided via the
+  // through OnEvent — events are counted one at a time, into the same
+  // per-context cells, so a violation handler reading stats() mid-batch
+  // sees exactly what OnEvent would show — but amortises the per-call
+  // overheads: plan-capacity checks run once, and when global automata are
+  // registered every shard is claimed once for the whole batch instead of
+  // once per event (nested per-event acquisitions are elided via the
   // batch-owner check). The batch entry points do not consult the ingest
   // hook or stamp events (an unstamped event reads the clock at dispatch):
   // they are the drain side's entry — the replay path, the event queue's
@@ -307,11 +310,15 @@ class Runtime {
     OnEvent(ctx, Event::Site(automaton_id, site_bindings));
   }
 
-  const RuntimeStats& stats() const { return stats_; }
-  // Zeroes the global stats *and* every derived tally a stats consumer can
-  // observe: the per-shard instance-pool overflow counts and the collector's
-  // cells, histograms and coverage bitmap. Call at a quiescent point for
-  // exact deltas.
+  // A snapshot: the runtime-level cells plus every live context's (shard
+  // contexts included) plus those folded in from destroyed contexts. Safe
+  // from any thread, mid-dispatch too (a violation handler sees everything
+  // up to its violation); cells still being bumped read as of the call.
+  RuntimeStats stats() const;
+  // Zeroes every stats cell — runtime-level, per-context and retired —
+  // *and* every derived tally a stats consumer can observe: the per-shard
+  // instance-pool overflow counts and the collector's cells, histograms and
+  // coverage bitmap. Call at a quiescent point for exact deltas.
   void ResetStats();
   const RuntimeOptions& options() const { return options_; }
 
@@ -364,6 +371,9 @@ class Runtime {
 
   // Number of global-context shards in use (≤ RuntimeOptions::global_shards).
   uint32_t shard_count() const { return shard_count_; }
+  // Live ThreadContexts: the callers' plus one per shard that hosts a global
+  // class (a shard no class maps to has no context).
+  size_t context_count() const;
 
   // The flight recorder (null when RuntimeOptions::trace_mode is off).
   trace::Recorder* recorder() { return recorder_.get(); }
@@ -507,6 +517,8 @@ class Runtime {
     // Who owns this shard (-1: locked/legacy). Bookkeeping only — used to
     // count handoffs and by tests; the claim protocol never reads it.
     std::atomic<int32_t> owner_id{-1};
+    // Null when no global class maps to this shard: it is still claimed
+    // with the rest of a batch's mask, but never stores anything.
     std::unique_ptr<ThreadContext> context;
   };
 
@@ -559,8 +571,8 @@ class Runtime {
 
   // The one dispatch loop behind OnEvent, OnEvents and OnEventsScoped:
   // publishes `scope` (null: unscoped), derives the per-call facts once,
-  // and — for anything but a single unscoped event — batches the stats and
-  // claims the reachable shards for the whole call (see ShardClaim).
+  // and — for anything but a single unscoped event — claims the reachable
+  // shards for the whole call (see ShardClaim).
   void Dispatch(ThreadContext& ctx, std::span<const Event> events,
                 const DispatchScope* scope);
   // One event's work under the per-call facts Dispatch derived: whether
@@ -623,10 +635,10 @@ class Runtime {
   // Runs the registered metrics augmenter (if any) over `snapshot`.
   void AugmentSnapshot(metrics::Snapshot& snapshot) const;
 
-  // Live-context registry (profile pool marks and stats reset): every
-  // ThreadContext registers for its lifetime; unregistration folds its pool
-  // marks into the retired maxima so a destroyed context's peak still shows
-  // in CollectProfile().
+  // Live-context registry (stats, profile pool marks and stats reset):
+  // every ThreadContext registers for its lifetime; unregistration folds its
+  // stats cells into retired_stats_ and its pool marks into the retired
+  // maxima, so a destroyed context's counts and peak still show.
   void RegisterContext(ThreadContext* ctx);
   void UnregisterContext(ThreadContext* ctx);
   // Per-context SlotPool capacity: the plan-hint total when hints are
@@ -711,48 +723,21 @@ class Runtime {
   // highlighted DOT graph for one violating class.
   std::string BuildForensics(uint32_t class_id, automata::StateSet highlight) const;
 
-  // Stats batching: the batch entry points open a per-thread StatsFrame so
-  // every Bump inside the batch is one plain add into a local delta array
-  // instead of an atomic RMW on the shared RuntimeStats cache lines; the
-  // frame flushes its nonzero deltas on close. RuntimeStats is uint64_t-only
-  // (the X-macro static_assert), so a counter's index is its offset from the
-  // struct base. Frames chain (a handler may re-enter a batch entry point)
-  // and carry their runtime, so a frame for another Runtime never absorbs
-  // this one's counts. ReportViolation flushes mid-batch: a violation
-  // handler reading stats() must see everything that led up to it.
-  struct StatsFrame {
-    const Runtime* runtime = nullptr;
-    StatsFrame* prev = nullptr;
-    uint64_t delta[kRuntimeStatsFieldCount] = {};
-  };
-  class StatsBatch {
-   public:
-    explicit StatsBatch(Runtime& runtime) : runtime_(runtime) {
-      frame_.runtime = &runtime;
-      frame_.prev = stats_frame_;
-      stats_frame_ = &frame_;
-    }
-    ~StatsBatch() {
-      stats_frame_ = frame_.prev;
-      runtime_.FlushStatsFrame(frame_);
-    }
-    StatsBatch(const StatsBatch&) = delete;
-    StatsBatch& operator=(const StatsBatch&) = delete;
-
-   private:
-    Runtime& runtime_;
-    StatsFrame frame_;
-  };
-  void FlushStatsFrame(StatsFrame& frame);
-  // Flushes every frame on this thread's chain that belongs to this runtime.
-  void FlushThreadStats();
-
-  void Bump(uint64_t& counter, uint64_t amount = 1) {
-    StatsFrame* frame = stats_frame_;
-    if (frame != nullptr && frame->runtime == this) {
-      frame->delta[&counter - reinterpret_cast<uint64_t*>(&stats_)] += amount;
-      return;
-    }
+  // RuntimeStats cells follow the single-writer rule of the observability
+  // shards. Event-level counters go to the entry context, in the context
+  // stage only; class-level counters go to the class's storage context
+  // (ContextFor) — in both cases a context the dispatching thread already
+  // serialises (per-thread by contract, a shard by its lock or by consumer
+  // ownership). So a bump is a relaxed load and store, never a locked RMW;
+  // the atomics only let stats() read concurrently.
+  static void Bump(uint64_t& counter, uint64_t amount = 1) {
+    std::atomic_ref<uint64_t> cell(counter);
+    cell.store(cell.load(std::memory_order_relaxed) + amount, std::memory_order_relaxed);
+  }
+  // Counters with no owning context (violations, shard handoffs, queue
+  // accounting) live in the runtime-level block and are shared: a relaxed
+  // fetch_add, paid once per violation, handoff or consumer batch.
+  static void BumpShared(uint64_t& counter, uint64_t amount = 1) {
     std::atomic_ref<uint64_t>(counter).fetch_add(amount, std::memory_order_relaxed);
   }
 
@@ -853,7 +838,8 @@ class Runtime {
   void NoteGatedScan(uint32_t class_id);
 
   RuntimeOptions options_;
-  RuntimeStats stats_;
+  // The runtime-level cells (BumpShared); mutable for const intruders.
+  mutable RuntimeStats stats_;
   // Async ingestion interposition (SetIngestHook): read first in OnEvent.
   std::atomic<IngestHook> ingest_hook_{nullptr};
   std::atomic<void*> ingest_state_{nullptr};
@@ -892,6 +878,7 @@ class Runtime {
   std::vector<ThreadContext*> live_contexts_;
   uint64_t retired_pool_high_water_ = 0;  // guarded by contexts_lock_
   uint64_t retired_pool_capacity_ = 0;
+  mutable RuntimeStats retired_stats_;  // destroyed contexts' cells, summed
 
   // Global-context storage, sharded (shared across threads, each shard
   // spinlock-serialised).
@@ -935,8 +922,6 @@ class Runtime {
   // the runtime it belongs to.
   static thread_local const Runtime* scope_runtime_;
   static thread_local const DispatchScope* active_scope_;
-  // The innermost open stats batch on this thread (see StatsBatch).
-  static thread_local StatsFrame* stats_frame_;
   // The timestamp of the event currently being dispatched on this thread
   // (set by DispatchEvent when any_timed_; the timed hooks read it instead
   // of re-deriving the clock per class).

@@ -63,8 +63,7 @@ Status TraceWriter::Open(const std::string& path, const std::string& origin,
   if (out_ == nullptr) {
     return Error{"cannot open trace file '" + path + "' for writing", 0, 0, kErrUnreadable};
   }
-  buffer_.clear();
-  buffer_.insert(buffer_.end(), kTraceMagic, kTraceMagic + sizeof(kTraceMagic));
+  buffer_.assign(kTraceMagic, kTraceMagic + sizeof(kTraceMagic));
   PutString(buffer_, origin);
   buffer_.push_back(options.flags());
   PutVarint(buffer_, options.instances_per_context);

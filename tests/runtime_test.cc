@@ -464,5 +464,43 @@ TEST(Runtime, MultipleAutomataShareBound) {
   EXPECT_EQ(rt.stats().instances_created, 1u);
 }
 
+// A global shard gets a context (instance pool, class table, obs shard,
+// trace ring) only when a global class maps to it: with none registered the
+// runtime's live contexts are the callers' alone, and a single global class
+// adds exactly one. The shard count itself is unchanged.
+TEST(Runtime, ShardContextsOnlyWhereAGlobalClassLives) {
+  RuntimeOptions options = TestOptions();
+  options.global_shards = 8;
+  options.trace_mode = trace::TraceMode::kFlightRecorder;
+  Fixture local("TESLA_WITHIN(syscall, previously(check(x) == 0))", options);
+  EXPECT_EQ(local.rt.shard_count(), 8u);
+  EXPECT_EQ(local.rt.context_count(), 0u);
+  {
+    ThreadContext a(local.rt);
+    ThreadContext b(local.rt);
+    EXPECT_EQ(local.rt.context_count(), 2u);
+    local.rt.OnFunctionCall(a, S("syscall"), {});
+    local.rt.OnFunctionReturn(a, S("syscall"), {}, 0);
+    EXPECT_EQ(local.rt.shard_pool_overflows(), 0u);
+    EXPECT_EQ(local.rt.shard_pool_high_water(), 0u);
+    local.rt.ResetStats();
+  }
+  EXPECT_EQ(local.rt.context_count(), 0u);
+
+  Fixture global("TESLA_GLOBAL(call(syscall), returnfrom(syscall), previously(check(x) == 0))",
+                 options);
+  EXPECT_EQ(global.rt.shard_count(), 8u);
+  EXPECT_EQ(global.rt.context_count(), 1u);
+  ThreadContext ctx(global.rt);
+  EXPECT_EQ(global.rt.context_count(), 2u);
+  global.rt.OnFunctionCall(ctx, S("syscall"), {});
+  global.rt.OnFunctionReturn(ctx, S("check"), std::vector<int64_t>{0}, 0);
+  Binding site[] = {{0, 0}};
+  global.rt.OnAssertionSite(ctx, global.id, site);
+  global.rt.OnFunctionReturn(ctx, S("syscall"), {}, 0);
+  EXPECT_EQ(global.rt.stats().violations, 0u);
+  EXPECT_EQ(global.rt.stats().accepts, 2u);
+}
+
 }  // namespace
 }  // namespace tesla
