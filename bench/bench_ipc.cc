@@ -14,9 +14,15 @@
 // a ring with headroom; the consumer catches up between bursts, untimed.
 // The shm consumer drains raw (PollLane, decode-and-discard) — dispatch
 // cost belongs to the sidecar and is bench_queue's consumer story, not the
-// producer's enqueue story measured here.
+// producer's enqueue story measured here — and idles like the sidecar's
+// ipc::DrainAll, sleeping 100 us on an empty poll. A consumer that re-polls
+// an empty lane in a yield loop reads the lane's lines while the producer
+// writes them, and the producer then pays for cache-line transfers a real
+// sidecar never causes (measured: 1.1x-3.3x from run to run, against
+// 0.9x-1.15x with the sleep).
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -172,7 +178,7 @@ double MeasureShmEnqueueNs(double min_seconds) {
         if (was_closed) {
           return;  // empty after closed: the lane is dry for good
         }
-        std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::microseconds(100));  // as DrainAll
         continue;
       }
       drained.fetch_add(got, std::memory_order_release);
@@ -226,13 +232,13 @@ double MeasureShmEnqueueNs(double min_seconds) {
 }  // namespace
 
 int main() {
-  const bool smoke = bench::SmokeMode();
-  const double min_seconds = smoke ? 0.01 : 0.3;
+  // The 2x gate below compares two best-of-bursts minima, so both loops get
+  // the full window even in smoke mode: 10 ms windows hold too few bursts
+  // for the minimum to settle, and the ratio then swings past the bound on
+  // an idle machine.
+  const double min_seconds = 0.3;
 
   std::printf("Cross-process transport: shm-lane enqueue vs in-process queue enqueue\n");
-  if (smoke) {
-    std::printf("(smoke mode: reduced timing windows)\n");
-  }
 
   const double queue_ns = MeasureQueueEnqueueNs(min_seconds);
   const double shm_ns = MeasureShmEnqueueNs(min_seconds);

@@ -58,7 +58,7 @@ struct FleetReport {
   bool has_metrics = false;
   uint64_t metric_shards = 0;  // captures that carried a metrics snapshot
   metrics::Snapshot metrics;
-  // Merged workload profile (v5 captures): cells combine per the profile
+  // Merged workload profile (profiled captures): cells combine per the profile
   // schema's merge rule (sum / max), sketches OR, pool marks max — so the
   // fleet profile answers the same plan-compilation questions a single
   // shard's does, and `tesla-trace profile` can compile hints from it.

@@ -4,7 +4,7 @@
 // process (the *publisher*, src/ipc/publisher.h) to a sidecar checker it
 // does not link against (the *subscriber*, src/ipc/subscriber.h — driven by
 // `tesla-trace attach`). The segment is self-describing in the same spirit
-// as a TSLATRC v4 capture: besides the event lanes it embeds everything a
+// as a TSLATRC capture: besides the event lanes it embeds everything a
 // fresh process needs to dispatch the stream — the publisher's interner
 // table (so symbol ids remap), the serialised manifest (so the assertion
 // set registers), the semantics-bearing runtime options and the origin

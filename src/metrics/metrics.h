@@ -127,7 +127,7 @@ inline constexpr size_t kSketchOffset = kCellCount + kMaxKeyVars;
 inline constexpr size_t kClassStride = kCellCount + kMaxKeyVars + kMaxKeyVars * kSketchWords;
 
 // The metrics view (ClassSnapshot::counters, tesla_class_*_total and the
-// capture footer): the runtime cells as stored, then the index route folded
+// capture metrics section): the runtime cells as stored, then the index route folded
 // into two counters.
 enum class ClassCounter : uint8_t {
   instances_created,

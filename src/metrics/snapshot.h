@@ -6,7 +6,7 @@
 // Runtime::CollectMetrics(), serialised three ways:
 //
 //   * ToJson        — machine-readable, embeds everything (the form that
-//                     round-trips through the trace-capture footer);
+//                     round-trips through a trace capture);
 //   * ToPrometheus  — Prometheus text exposition format 0.0.4: HELP/TYPE
 //                     headers, counter/gauge families labelled by automaton,
 //                     dispatch-latency histograms with cumulative buckets;

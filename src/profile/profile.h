@@ -7,7 +7,7 @@
 // path onto a full scan. Both are views of one per-class cell block,
 // recorded by metrics::Collector's single-writer per-context shards
 // (~ns/event) when RuntimeOptions::profile is on. A profile rides the
-// TSLATRC capture footer (v5), merges deterministically across fleet
+// TSLATRC capture (its profile section), merges deterministically across fleet
 // shards, and feeds back into Register() as PlanHints — per-class capacity
 // and secondary-index decisions derived from data instead of global knobs.
 //

@@ -12,7 +12,8 @@
 // the batch step kernels can walk the array directly), while the bound
 // *values* live out-of-line — the exact-match pass touches one cache line per
 // instance, four instances per line. Slots come from a SlotPool (fixed
-// capacity, counted overflow, §4.4.1's deterministic-footprint contract).
+// capacity, exhaustion reported to the caller, §4.4.1's deterministic-footprint
+// contract).
 //
 // KeyIndex is a compact open-addressing hash map from an instance's *key
 // tuple* — the values of the class's key variables, those bound by clone
@@ -135,8 +136,6 @@ class InstanceStore {
   size_t capacity() const { return pool_.capacity(); }
   size_t live() const { return pool_.live(); }
   size_t high_water() const { return pool_.high_water(); }
-  uint64_t overflows() const { return pool_.overflows(); }
-  void ResetOverflows() { pool_.ResetOverflows(); }
   void ResetHighWater() { pool_.ResetHighWater(); }
 
  private:

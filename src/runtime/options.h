@@ -116,7 +116,7 @@ struct RuntimeOptions {
   // host-dependent). metrics_mode and profile share
   // one collector and one shard per context (metrics/collector.h), each
   // recording only its own cells. Snapshots: Runtime::CollectProfile();
-  // captures embed them in the TSLATRC v5 footer and `tesla-trace profile`
+  // captures embed them in a profile section and `tesla-trace profile`
   // renders the report.
   bool profile = false;
 
@@ -164,12 +164,10 @@ struct Violation {
 const char* ViolationKindName(ViolationKind kind);
 
 // The global RuntimeStats schema. This X-macro is the single source of truth
-// for the struct itself, the trace-capture footer table (trace::kStatsFields)
-// and the metrics exposition — a counter added or removed here moves every
-// consumer at once, so a field can never be silently dropped from the wire.
-// Order matters: it is the footer's field order, and captures written by
-// older builds carry a prefix of this list (see trace/format.h) — new
-// counters may only be appended, never inserted or reordered.
+// for the struct itself, the trace-capture summary table
+// (trace::kStatsFields) and the metrics exposition — a counter added or
+// removed here moves every consumer at once, so a field can never be
+// silently dropped from the wire. Order is the capture's field order.
 //
 // The third column is replay comparability: 1 when a faithful replay of the
 // captured event stream must reproduce the counter exactly, 0 for counters
@@ -182,9 +180,6 @@ const char* ViolationKindName(ViolationKind kind);
 //   * accepts — automaton acceptance (§4.4.2 finalisation).
 //   * ignored_events — events with no consumable transition (non-strict).
 //   * arg_truncations — argument lists exceeding kMaxEventArgs.
-//   * site_variant_truncations — incallstack() variants dropped at a site;
-//     always zero since the site symbol buffer became growable, kept so
-//     stats consumers and the trace-file footer keep a stable schema.
 //   * unmatched_returns — kFunctionReturn with no tracked call to match
 //     (stream starts mid-call, e.g. a wrapped flight-recorder capture);
 //     the per-context stack depth is clamped at zero instead of going
@@ -218,7 +213,6 @@ const char* ViolationKindName(ViolationKind kind);
   X(arg_truncations, "events with truncated argument lists", 1)               \
   X(index_probes, "dispatches answered by one index-bucket probe", 1)         \
   X(index_scans, "indexed dispatches falling back to a full scan", 1)         \
-  X(site_variant_truncations, "incallstack() site variants dropped (always 0)", 1) \
   X(unmatched_returns, "function returns with no matching tracked call", 1)   \
   X(negative_latencies, "dispatch timings with a negative clock delta (clamped)", 0) \
   X(queue_events, "events delivered through the async ingestion queue", 0)    \

@@ -691,24 +691,20 @@ size_t Runtime::context_count() const {
 }
 
 void Runtime::ResetStats() {
-  // RuntimeStats::overflows is fed by per-context pool tallies; a reset that
-  // leaves those behind would double-report them through pool_overflows()
-  // style accessors. The pool high-water marks rewind with them — a
-  // measurement window opened now must not inherit an earlier peak through
+  // The pool high-water marks rewind with the stats — a measurement window
+  // opened now must not inherit an earlier peak through
   // shard_pool_high_water() or a profile snapshot.
   for (uint32_t s = 0; s < shards_.size(); s++) {
     if (ThreadContext* storage = shards_[s]->context.get()) {
       ShardGuard guard(*this, s, !ShardHeld(s));
-      storage->store_.ResetOverflows();
       storage->store_.ResetHighWater();
     }
   }
   {
     // Every context's stats cells zero, shard contexts included; per-thread
-    // pools rewind too (their owners hold no overflow-style tally, but their
-    // pool peaks feed CollectProfile), and the retired block and maxima
-    // restart from nothing. Quiescent-point contract as above; stats()
-    // readers are held off by the registry lock.
+    // pool peaks rewind too (they feed CollectProfile), and the retired
+    // block and maxima restart from nothing. Quiescent-point contract as
+    // above; stats() readers are held off by the registry lock.
     LockGuard<Spinlock> guard(contexts_lock_);
     stats_ = RuntimeStats{};
     retired_stats_ = RuntimeStats{};
@@ -722,17 +718,6 @@ void Runtime::ResetStats() {
   if (collector_ != nullptr) {
     collector_->Reset();
   }
-}
-
-uint64_t Runtime::shard_pool_overflows() const {
-  uint64_t total = 0;
-  for (uint32_t s = 0; s < shards_.size(); s++) {
-    if (const ThreadContext* storage = shards_[s]->context.get()) {
-      ShardGuard guard(*this, s, !ShardHeld(s));
-      total += storage->store_.overflows();
-    }
-  }
-  return total;
 }
 
 uint64_t Runtime::shard_pool_high_water() const {
@@ -1776,9 +1761,7 @@ void Runtime::HandleSiteEvent(ThreadContext& ctx, uint32_t class_id,
   // Classes with no incallstack() variants (the common shape) dispatch the
   // site symbol straight from the automaton; otherwise the symbol list keeps
   // the common handful of variants inline and grows past that, so no
-  // satisfied predicate is ever dropped — RuntimeStats::site_variant_truncations
-  // can only be zero now, and is kept solely so ablations and old reports
-  // keep their schema.
+  // satisfied predicate is ever dropped.
   SmallVector<uint16_t, 17> symbols;
   std::span<const uint16_t> symbol_span;
   if (cls.site_variants.empty()) [[likely]] {

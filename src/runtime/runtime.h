@@ -153,7 +153,6 @@ class ThreadContext {
   // incallstack() support: whether `function` is on this context's stack.
   bool InCallStack(Symbol function) const;
 
-  uint64_t pool_overflows() const { return store_.overflows(); }
   // The instance pool's high-water mark and capacity (the capacity-headroom
   // signal a workload profile reports). Rewound by Runtime::ResetStats().
   size_t pool_high_water() const { return store_.high_water(); }
@@ -316,9 +315,9 @@ class Runtime {
   // up to its violation); cells still being bumped read as of the call.
   RuntimeStats stats() const;
   // Zeroes every stats cell — runtime-level, per-context and retired —
-  // *and* every derived tally a stats consumer can observe: the per-shard
-  // instance-pool overflow counts and the collector's cells, histograms and
-  // coverage bitmap. Call at a quiescent point for exact deltas.
+  // *and* every derived tally a stats consumer can observe: the pool
+  // high-water marks and the collector's cells, histograms and coverage
+  // bitmap. Call at a quiescent point for exact deltas.
   void ResetStats();
   const RuntimeOptions& options() const { return options_; }
 
@@ -348,14 +347,8 @@ class Runtime {
   using MetricsAugmenter = std::function<void(metrics::Snapshot&)>;
   void SetMetricsAugmenter(MetricsAugmenter augmenter);
 
-  // Sum of the global shard contexts' instance-pool overflow tallies (the
-  // per-context counts behind RuntimeStats::overflows); reset by
-  // ResetStats(). Exposed so stats-reset consumers can verify the derived
-  // counters really rewound.
-  uint64_t shard_pool_overflows() const;
   // Largest instance-pool high-water mark across the global shard contexts;
-  // rewound (to each pool's current live population) by ResetStats() like
-  // the overflow tallies above.
+  // rewound (to each pool's current live population) by ResetStats().
   uint64_t shard_pool_high_water() const;
 
   // The registered automata re-serialised in the .tesla text format, in
@@ -625,7 +618,7 @@ class Runtime {
 
   // The intruder side of the shard-ownership protocol (see GlobalShard).
   // Const (with the handoff counter bumped through an atomic_ref) so const
-  // accessors like shard_pool_overflows() can intrude too.
+  // accessors like shard_pool_high_water() can intrude too.
   void LockShardAsIntruder(GlobalShard& shard) const;
   void UnlockShardAsIntruder(GlobalShard& shard) const;
   class ShardGuard;

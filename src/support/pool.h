@@ -1,10 +1,11 @@
-// Fixed-capacity object pool with overflow accounting.
+// Fixed-capacity object pool.
 //
 // Paper §4.4.1: "we preallocate a fixed-size memory block per thread, giving
 // a deterministic memory footprint, and report overflows so that we can
-// adjust preallocation size on the next run." FixedPool implements exactly
-// that contract: allocation never touches the heap after construction, and
-// exhaustion is counted rather than fatal.
+// adjust preallocation size on the next run." FixedPool implements the
+// allocation half of that contract: allocation never touches the heap after
+// construction, and exhaustion is a null return rather than fatal — the
+// caller counts it (the runtime in RuntimeStats::overflows).
 #ifndef TESLA_SUPPORT_POOL_H_
 #define TESLA_SUPPORT_POOL_H_
 
@@ -38,11 +39,10 @@ class FixedPool {
   FixedPool(const FixedPool&) = delete;
   FixedPool& operator=(const FixedPool&) = delete;
 
-  // Returns nullptr (and bumps the overflow counter) when the pool is full.
+  // Returns nullptr when the pool is full.
   template <typename... Args>
   T* Allocate(Args&&... args) {
     if (free_list_.empty()) {
-      overflows_++;
       return nullptr;
     }
     Slot* slot = free_list_.back();
@@ -62,8 +62,6 @@ class FixedPool {
   size_t capacity() const { return capacity_; }
   size_t live() const { return live_; }
   size_t high_water() const { return high_water_; }
-  uint64_t overflows() const { return overflows_; }
-  void ResetOverflows() { overflows_ = 0; }
   // Rewinds the mark to the current live population so a measurement window
   // opened now isn't polluted by earlier peaks.
   void ResetHighWater() { high_water_ = live_; }
@@ -78,7 +76,6 @@ class FixedPool {
   std::vector<Slot*> free_list_;
   size_t live_ = 0;
   size_t high_water_ = 0;
-  uint64_t overflows_ = 0;
 };
 
 // Fixed-capacity *slot* allocator: the index-based sibling of FixedPool.
@@ -87,7 +84,7 @@ class FixedPool {
 // client keep the per-object fields in structure-of-arrays form (parallel
 // vectors indexed by slot) so that hot loops touch only the arrays they need.
 // Same contract as FixedPool: no heap traffic after construction, exhaustion
-// is counted (kNoSlot) rather than fatal.
+// is a kNoSlot return rather than fatal.
 class SlotPool {
  public:
   static constexpr uint32_t kNoSlot = 0xffffffffu;
@@ -102,10 +99,9 @@ class SlotPool {
   SlotPool(const SlotPool&) = delete;
   SlotPool& operator=(const SlotPool&) = delete;
 
-  // Returns kNoSlot (and bumps the overflow counter) when the pool is full.
+  // Returns kNoSlot when the pool is full.
   uint32_t Allocate() {
     if (free_list_.empty()) {
-      overflows_++;
       return kNoSlot;
     }
     uint32_t slot = free_list_.back();
@@ -124,8 +120,6 @@ class SlotPool {
   size_t capacity() const { return capacity_; }
   size_t live() const { return live_; }
   size_t high_water() const { return high_water_; }
-  uint64_t overflows() const { return overflows_; }
-  void ResetOverflows() { overflows_ = 0; }
   // Rewinds the mark to the current live population so a measurement window
   // opened now isn't polluted by earlier peaks.
   void ResetHighWater() { high_water_ = live_; }
@@ -135,7 +129,6 @@ class SlotPool {
   std::vector<uint32_t> free_list_;
   size_t live_ = 0;
   size_t high_water_ = 0;
-  uint64_t overflows_ = 0;
 };
 
 }  // namespace tesla

@@ -1,19 +1,13 @@
 #include "trace/format.h"
 
+#include <cstdio>
 #include <cstring>
+#include <iterator>
 
+#include "support/intern.h"
 #include "trace/wire.h"
 
 namespace tesla::trace {
-namespace {
-
-constexpr uint8_t kEndMarker = 0xFF;
-
-Error Corrupt(const std::string& path, const std::string& what) {
-  return Error{"'" + path + "': " + what, 0, 0, kErrCorrupt};
-}
-
-}  // namespace
 
 CaptureOptions CaptureOptions::Of(const runtime::RuntimeOptions& options) {
   return {options.lazy_init, options.use_dfa, options.instance_index,
@@ -50,168 +44,390 @@ Result<CaptureOptions> CaptureOptions::Decode(uint8_t flags, uint64_t instances_
                         instances_per_context, global_shards};
 }
 
-TraceWriter::~TraceWriter() {
-  if (out_ != nullptr) {
-    std::fclose(out_);
+namespace {
+
+// Section tags. A changed section schema takes a new tag.
+enum class Tag : uint8_t {
+  kPlan = 1,
+  kSymbols = 2,
+  kRecords = 3,
+  kMetrics = 4,
+  kProfile = 5,
+  kSummary = 6,
+  kLast = kSummary,
+};
+
+constexpr const char* kSectionNames[] = {"", "plan", "symbols", "records",
+                                         "metrics", "profile", "summary"};
+
+Error Corrupt(const std::string& path, const std::string& what) {
+  return Error{"'" + path + "': " + what, 0, 0, kErrCorrupt};
+}
+
+// A varint narrowed to the field it decodes into.
+template <typename T>
+T GetVarint(Cursor& in) {
+  uint64_t value = 0;
+  in.Varint(&value);
+  return static_cast<T>(value);
+}
+
+int64_t GetSigned(Cursor& in) { return Unzigzag(GetVarint<uint64_t>(in)); }
+
+// One Put/Get pair per section payload. Each Get is the exact inverse of its
+// Put over a cursor bounded to the payload, and fails (the caller tags the
+// error kErrCorrupt) on anything its Put cannot have written.
+void PutRecords(std::vector<uint8_t>& out, const std::vector<TraceRecord>& records) {
+  uint64_t prev_seq = 0;
+  uint64_t prev_ts = 0;
+  for (const TraceRecord& record : records) {
+    out.push_back(record.kind);
+    out.push_back(record.flags);
+    PutVarint(out, record.ctx);
+    PutVarint(out, record.seq - prev_seq);
+    prev_seq = record.seq;
+    // Timestamps delta well within one context but interleave across
+    // contexts, so the delta is signed. Unstamped records (no timed clause
+    // registered) encode a zero delta — one byte.
+    PutVarint(out, Zigzag(static_cast<int64_t>(record.ts_ns - prev_ts)));
+    prev_ts = record.ts_ns;
+    PutVarint(out, record.target);
+    out.push_back(record.count);
+    for (uint8_t i = 0; i < record.count; i++) {
+      PutVarint(out, Zigzag(record.values[i]));
+    }
+    const auto kind = static_cast<runtime::EventKind>(record.kind);
+    if (kind == runtime::EventKind::kAssertionSite) {
+      for (uint8_t i = 0; i < record.count; i++) {
+        PutVarint(out, record.vars[i]);
+      }
+    }
+    if (kind == runtime::EventKind::kFunctionReturn) {
+      PutVarint(out, Zigzag(record.return_value));
+    }
   }
 }
 
-Status TraceWriter::Open(const std::string& path, const std::string& origin,
-                         const CaptureOptions& options, const StringInterner& interner,
-                         const std::string& manifest_text) {
-  out_ = std::fopen(path.c_str(), "wb");
-  if (out_ == nullptr) {
-    return Error{"cannot open trace file '" + path + "' for writing", 0, 0, kErrUnreadable};
+Status GetRecords(Cursor& in, std::vector<TraceRecord>& records) {
+  uint64_t seq = 0;
+  uint64_t ts = 0;
+  while (in.remaining() > 0) {
+    TraceRecord record;
+    in.Byte(&record.kind);
+    if (record.kind > static_cast<uint8_t>(runtime::EventKind::kAssertionSite)) {
+      return Error{"corrupt record kind"};
+    }
+    in.Byte(&record.flags);
+    record.ctx = GetVarint<uint32_t>(in);
+    seq += GetVarint<uint64_t>(in);
+    ts += static_cast<uint64_t>(GetSigned(in));  // modular, as the writer's delta
+    record.seq = seq;
+    record.ts_ns = ts;
+    record.target = GetVarint<uint32_t>(in);
+    in.Byte(&record.count);
+    if (record.count > runtime::kMaxEventArgs) {
+      return Error{"corrupt record arity"};
+    }
+    for (uint8_t i = 0; i < record.count; i++) {
+      record.values[i] = GetSigned(in);
+    }
+    const auto kind = static_cast<runtime::EventKind>(record.kind);
+    if (kind == runtime::EventKind::kAssertionSite) {
+      for (uint8_t i = 0; i < record.count; i++) {
+        record.vars[i] = GetVarint<uint16_t>(in);
+      }
+    }
+    if (kind == runtime::EventKind::kFunctionReturn) {
+      record.return_value = GetSigned(in);
+    }
+    if (in.failed) {
+      return Error{"truncated record"};
+    }
+    records.push_back(record);
   }
-  buffer_.assign(kTraceMagic, kTraceMagic + sizeof(kTraceMagic));
-  PutString(buffer_, origin);
-  buffer_.push_back(options.flags());
-  PutVarint(buffer_, options.instances_per_context);
-  PutVarint(buffer_, options.global_shards);
-  PutString(buffer_, manifest_text);
-  PutVarint(buffer_, interner.size());
-  for (Symbol symbol = 0; symbol < interner.size(); symbol++) {
-    PutString(buffer_, interner.Spelling(symbol));
-  }
-  std::fwrite(buffer_.data(), 1, buffer_.size(), out_);
-  prev_seq_ = 0;
-  prev_ts_ = 0;
-  base_ts_ = 0;
-  last_ts_ = 0;
-  any_ts_ = false;
   return Status::Ok();
 }
 
-void TraceWriter::Append(const TraceRecord& record) {
-  buffer_.clear();
-  buffer_.push_back(record.kind);
-  buffer_.push_back(record.flags);
-  PutVarint(buffer_, record.ctx);
-  PutVarint(buffer_, record.seq - prev_seq_);
-  prev_seq_ = record.seq;
-  // Timestamps delta well within one context but interleave across contexts,
-  // so the delta is signed (zigzag). Unstamped records (no timed clause
-  // registered) encode a zero delta — one byte.
-  PutVarint(buffer_, Zigzag(static_cast<int64_t>(record.ts_ns - prev_ts_)));
-  prev_ts_ = record.ts_ns;
-  if (record.ts_ns != 0) {
-    if (!any_ts_) {
-      base_ts_ = record.ts_ns;
-      any_ts_ = true;
-    }
-    last_ts_ = record.ts_ns;
-  }
-  PutVarint(buffer_, record.target);
-  buffer_.push_back(record.count);
-  for (uint8_t i = 0; i < record.count; i++) {
-    PutVarint(buffer_, Zigzag(record.values[i]));
-  }
-  if (static_cast<runtime::EventKind>(record.kind) == runtime::EventKind::kAssertionSite) {
-    for (uint8_t i = 0; i < record.count; i++) {
-      PutVarint(buffer_, record.vars[i]);
-    }
-  }
-  if (static_cast<runtime::EventKind>(record.kind) == runtime::EventKind::kFunctionReturn) {
-    PutVarint(buffer_, Zigzag(record.return_value));
-  }
-  std::fwrite(buffer_.data(), 1, buffer_.size(), out_);
+void PutPlan(std::vector<uint8_t>& out, const TraceFile& file) {
+  PutString(out, file.origin);
+  out.push_back(file.options.flags());
+  PutVarint(out, file.options.instances_per_context);
+  PutVarint(out, file.options.global_shards);
+  PutVarint(out, file.index_min_population);
+  PutString(out, file.manifest_text);
+  PutString(out, profile::HintsToText(file.plan_hints));
 }
 
-Status TraceWriter::Finish(const SemanticSummary& summary) {
-  buffer_.clear();
-  buffer_.push_back(kEndMarker);
-  PutVarint(buffer_, summary.dropped);
-  // v3 footers are self-describing: the field count precedes the fields, so
-  // a reader built before a future schema append can still parse the file.
-  PutVarint(buffer_, runtime::kRuntimeStatsFieldCount);
+Status GetPlan(Cursor& in, TraceFile& file) {
+  uint8_t flags = 0;
+  uint64_t instances_per_context = 0, global_shards = 0;
+  std::string hints;
+  in.String(&file.origin);
+  in.Byte(&flags);
+  in.Varint(&instances_per_context);
+  in.Varint(&global_shards);
+  in.Varint(&file.index_min_population);
+  in.String(&file.manifest_text);
+  in.String(&hints);
+  if (in.failed) {
+    return Error{"truncated"};
+  }
+  Result<CaptureOptions> options =
+      CaptureOptions::Decode(flags, instances_per_context, global_shards);
+  if (!options.ok()) {
+    return options.error();
+  }
+  file.options = options.value();
+  Result<profile::PlanHints> parsed = profile::ParseHints(hints);
+  if (!parsed.ok()) {
+    return parsed.error();
+  }
+  file.plan_hints = std::move(parsed.value());
+  return Status::Ok();
+}
+
+void PutSymbols(std::vector<uint8_t>& out, const std::vector<std::string>& symbols) {
+  PutVarint(out, symbols.size());
+  for (const std::string& symbol : symbols) {
+    PutString(out, symbol);
+  }
+}
+
+Status GetSymbols(Cursor& in, std::vector<std::string>& symbols) {
+  const uint64_t count = GetVarint<uint64_t>(in);
+  if (!in.FitsRemaining(count)) {
+    return Error{"truncated"};
+  }
+  symbols.resize(static_cast<size_t>(count));
+  for (std::string& symbol : symbols) {
+    in.String(&symbol);
+  }
+  return in.failed ? Status(Error{"truncated"}) : Status::Ok();
+}
+
+void PutMetrics(std::vector<uint8_t>& out, const metrics::Snapshot& snap) {
+  out.push_back(static_cast<uint8_t>(snap.mode));
+  PutVarint(out, snap.classes.size());
+  for (const metrics::ClassSnapshot& cls : snap.classes) {
+    PutString(out, cls.name);
+    for (size_t k = 0; k < metrics::kClassCounterCount; k++) {
+      PutVarint(out, cls.counters[k]);
+    }
+    PutVarint(out, cls.transitions.size());
+    for (const metrics::TransitionCoverage& transition : cls.transitions) {
+      PutVarint(out, transition.state);
+      PutVarint(out, transition.symbol);
+      out.push_back(transition.fired ? 1 : 0);
+      PutString(out, transition.description);
+    }
+  }
+  if (snap.mode == metrics::MetricsMode::kFull) {
+    for (const metrics::HistogramData& hist : snap.histograms) {
+      PutVarint(out, hist.count);
+      PutVarint(out, hist.sum_ns);
+      uint64_t occupied = 0;
+      for (uint64_t count : hist.buckets) {
+        occupied += count != 0 ? 1 : 0;
+      }
+      PutVarint(out, occupied);
+      for (size_t bucket = 0; bucket < metrics::kHistogramBuckets; bucket++) {
+        if (hist.buckets[bucket] != 0) {
+          PutVarint(out, bucket);
+          PutVarint(out, hist.buckets[bucket]);
+        }
+      }
+    }
+  }
+}
+
+Status GetMetrics(Cursor& in, metrics::Snapshot& snap) {
+  uint8_t mode = 0;
+  in.Byte(&mode);
+  if (mode > static_cast<uint8_t>(metrics::MetricsMode::kFull)) {
+    return Error{"invalid metrics mode"};
+  }
+  snap.mode = static_cast<metrics::MetricsMode>(mode);
+  const uint64_t class_count = GetVarint<uint64_t>(in);
+  // Every class carries at least a name length and its counter varints.
+  if (!in.FitsRemaining(class_count, 1 + metrics::kClassCounterCount)) {
+    return Error{"truncated"};
+  }
+  snap.classes.resize(static_cast<size_t>(class_count));
+  for (metrics::ClassSnapshot& cls : snap.classes) {
+    in.String(&cls.name);
+    for (size_t k = 0; k < metrics::kClassCounterCount; k++) {
+      in.Varint(&cls.counters[k]);
+    }
+    const uint64_t transition_count = GetVarint<uint64_t>(in);
+    // state + symbol + fired + description length: ≥ 4 bytes each.
+    if (!in.FitsRemaining(transition_count, 4)) {
+      return Error{"truncated"};
+    }
+    cls.transitions.resize(static_cast<size_t>(transition_count));
+    for (metrics::TransitionCoverage& transition : cls.transitions) {
+      uint8_t fired = 0;
+      transition.state = GetVarint<uint32_t>(in);
+      transition.symbol = GetVarint<uint16_t>(in);
+      in.Byte(&fired);
+      transition.fired = fired != 0;
+      in.String(&transition.description);
+    }
+  }
+  if (snap.mode == metrics::MetricsMode::kFull) {
+    for (metrics::HistogramData& hist : snap.histograms) {
+      in.Varint(&hist.count);
+      in.Varint(&hist.sum_ns);
+      const uint64_t occupied = GetVarint<uint64_t>(in);
+      if (occupied > metrics::kHistogramBuckets) {
+        return Error{"invalid histogram bucket count"};
+      }
+      for (uint64_t i = 0; i < occupied; i++) {
+        const uint64_t bucket = GetVarint<uint64_t>(in);
+        if (bucket >= metrics::kHistogramBuckets) {
+          return Error{"invalid histogram bucket index"};
+        }
+        hist.buckets[bucket] = GetVarint<uint64_t>(in);
+      }
+    }
+  }
+  return in.failed ? Status(Error{"truncated"}) : Status::Ok();
+}
+
+void PutProfile(std::vector<uint8_t>& out, const profile::Snapshot& prof) {
+  PutVarint(out, prof.pool_capacity);
+  PutVarint(out, prof.pool_high_water);
+  PutVarint(out, prof.classes.size());
+  for (const profile::ClassProfile& cls : prof.classes) {
+    PutString(out, cls.name);
+    PutVarint(out, cls.key_vars.size());
+    for (uint16_t var : cls.key_vars) {
+      PutVarint(out, var);
+    }
+    for (uint64_t cell : cls.cells) {
+      PutVarint(out, cell);
+    }
+    for (uint64_t partial : cls.var_partial) {
+      PutVarint(out, partial);
+    }
+    for (const auto& sketch : cls.sketch) {
+      for (uint64_t word : sketch) {
+        PutVarint(out, word);
+      }
+    }
+  }
+}
+
+Status GetProfile(Cursor& in, profile::Snapshot& prof) {
+  in.Varint(&prof.pool_capacity);
+  in.Varint(&prof.pool_high_water);
+  const uint64_t class_count = GetVarint<uint64_t>(in);
+  // Every class carries at least a name length, a key-var count and its
+  // fixed cell, partial and sketch words.
+  const uint64_t min_class_bytes = 2 + profile::kCellCount + profile::kMaxKeyVars +
+                                   profile::kMaxKeyVars * profile::kSketchWords;
+  if (!in.FitsRemaining(class_count, min_class_bytes)) {
+    return Error{"truncated"};
+  }
+  prof.classes.resize(static_cast<size_t>(class_count));
+  for (profile::ClassProfile& cls : prof.classes) {
+    in.String(&cls.name);
+    const uint64_t key_var_count = GetVarint<uint64_t>(in);
+    if (key_var_count > profile::kMaxKeyVars) {
+      return Error{"invalid key-var count"};
+    }
+    cls.key_vars.resize(static_cast<size_t>(key_var_count));
+    for (uint16_t& var : cls.key_vars) {
+      var = GetVarint<uint16_t>(in);
+    }
+    for (uint64_t& cell : cls.cells) {
+      in.Varint(&cell);
+    }
+    for (uint64_t& partial : cls.var_partial) {
+      in.Varint(&partial);
+    }
+    for (auto& sketch : cls.sketch) {
+      for (uint64_t& word : sketch) {
+        in.Varint(&word);
+      }
+    }
+  }
+  return in.failed ? Status(Error{"truncated"}) : Status::Ok();
+}
+
+void PutSummary(std::vector<uint8_t>& out, const SemanticSummary& summary) {
+  PutVarint(out, summary.dropped);
   for (const StatsField& field : kStatsFields) {
-    PutVarint(buffer_, summary.stats.*field.field);
+    PutVarint(out, summary.stats.*field.field);
   }
-  PutVarint(buffer_, summary.violations.size());
+  PutVarint(out, summary.violations.size());
   for (const auto& [kind, automaton] : summary.violations) {
-    buffer_.push_back(static_cast<uint8_t>(kind));
-    PutString(buffer_, automaton);
+    out.push_back(static_cast<uint8_t>(kind));
+    PutString(out, automaton);
   }
-  buffer_.push_back(summary.has_metrics ? 1 : 0);
+}
+
+Status GetSummary(Cursor& in, SemanticSummary& summary) {
+  in.Varint(&summary.dropped);
+  for (const StatsField& field : kStatsFields) {
+    in.Varint(&(summary.stats.*field.field));
+  }
+  const uint64_t violation_count = GetVarint<uint64_t>(in);
+  if (!in.FitsRemaining(violation_count, 2)) {  // kind byte + empty string
+    return Error{"truncated"};
+  }
+  summary.violations.reserve(static_cast<size_t>(violation_count));
+  for (uint64_t i = 0; i < violation_count; i++) {
+    uint8_t kind = 0;
+    std::string automaton;
+    in.Byte(&kind);
+    in.String(&automaton);
+    if (kind > static_cast<uint8_t>(runtime::ViolationKind::kRateExceeded)) {
+      return Error{"invalid violation kind"};
+    }
+    summary.violations.emplace_back(static_cast<runtime::ViolationKind>(kind),
+                                    std::move(automaton));
+  }
+  return in.failed ? Status(Error{"truncated"}) : Status::Ok();
+}
+
+// Appends one section: tag, varint payload length, payload. The payload is
+// encoded in place and its length spliced in ahead of it.
+template <typename Encode>
+void PutSection(std::vector<uint8_t>& out, Tag tag, Encode encode) {
+  out.push_back(static_cast<uint8_t>(tag));
+  const size_t start = out.size();
+  encode(out);
+  std::vector<uint8_t> length;
+  PutVarint(length, out.size() - start);
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(start), length.begin(), length.end());
+}
+
+}  // namespace
+
+Status TraceFile::Write(const std::string& path) const {
+  std::vector<uint8_t> out(std::begin(kTraceMagic), std::end(kTraceMagic));
+  PutSection(out, Tag::kPlan, [this](std::vector<uint8_t>& o) { PutPlan(o, *this); });
+  PutSection(out, Tag::kSymbols, [this](std::vector<uint8_t>& o) { PutSymbols(o, symbols); });
+  PutSection(out, Tag::kRecords, [this](std::vector<uint8_t>& o) { PutRecords(o, records); });
   if (summary.has_metrics) {
-    const metrics::Snapshot& snap = summary.metrics;
-    buffer_.push_back(static_cast<uint8_t>(snap.mode));
-    PutVarint(buffer_, snap.classes.size());
-    for (const metrics::ClassSnapshot& cls : snap.classes) {
-      PutString(buffer_, cls.name);
-      for (size_t k = 0; k < metrics::kClassCounterCount; k++) {
-        PutVarint(buffer_, cls.counters[k]);
-      }
-      PutVarint(buffer_, cls.transitions.size());
-      for (const metrics::TransitionCoverage& transition : cls.transitions) {
-        PutVarint(buffer_, transition.state);
-        PutVarint(buffer_, transition.symbol);
-        buffer_.push_back(transition.fired ? 1 : 0);
-        PutString(buffer_, transition.description);
-      }
-    }
-    if (snap.mode == metrics::MetricsMode::kFull) {
-      for (size_t kind = 0; kind < metrics::kEventKinds; kind++) {
-        const metrics::HistogramData& hist = snap.histograms[kind];
-        PutVarint(buffer_, hist.count);
-        PutVarint(buffer_, hist.sum_ns);
-        uint64_t occupied = 0;
-        for (uint64_t count : hist.buckets) {
-          occupied += count != 0 ? 1 : 0;
-        }
-        PutVarint(buffer_, occupied);
-        for (size_t bucket = 0; bucket < metrics::kHistogramBuckets; bucket++) {
-          if (hist.buckets[bucket] != 0) {
-            PutVarint(buffer_, bucket);
-            PutVarint(buffer_, hist.buckets[bucket]);
-          }
-        }
-      }
-    }
+    PutSection(out, Tag::kMetrics,
+               [this](std::vector<uint8_t>& o) { PutMetrics(o, summary.metrics); });
   }
-  buffer_.push_back(summary.has_profile ? 1 : 0);
   if (summary.has_profile) {
-    const profile::Snapshot& prof = summary.profile;
-    PutVarint(buffer_, prof.pool_capacity);
-    PutVarint(buffer_, prof.pool_high_water);
-    PutVarint(buffer_, prof.classes.size());
-    for (const profile::ClassProfile& cls : prof.classes) {
-      PutString(buffer_, cls.name);
-      PutVarint(buffer_, cls.key_vars.size());
-      for (uint16_t var : cls.key_vars) {
-        PutVarint(buffer_, var);
-      }
-      // Cell count precedes the cells so the schema X-macro may append
-      // without breaking older readers (same policy as the stats footer).
-      PutVarint(buffer_, profile::kCellCount);
-      for (size_t i = 0; i < profile::kCellCount; i++) {
-        PutVarint(buffer_, cls.cells[i]);
-      }
-      for (size_t p = 0; p < profile::kMaxKeyVars; p++) {
-        PutVarint(buffer_, cls.var_partial[p]);
-      }
-      for (size_t p = 0; p < profile::kMaxKeyVars; p++) {
-        for (size_t w = 0; w < profile::kSketchWords; w++) {
-          PutVarint(buffer_, cls.sketch[p][w]);
-        }
-      }
-    }
+    PutSection(out, Tag::kProfile,
+               [this](std::vector<uint8_t>& o) { PutProfile(o, summary.profile); });
   }
-  // v6 timestamp footer: present only when some record carried a nonzero
-  // timestamp. Self-describing field count, same append policy as the stats
-  // footer — a reader discards fields a newer writer appended.
-  buffer_.push_back(any_ts_ ? 1 : 0);
-  if (any_ts_) {
-    PutVarint(buffer_, 2);  // field count: base ts, last ts
-    PutVarint(buffer_, base_ts_);
-    PutVarint(buffer_, last_ts_);
+  PutSection(out, Tag::kSummary, [this](std::vector<uint8_t>& o) { PutSummary(o, summary); });
+
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return Error{"cannot open trace file '" + path + "' for writing", 0, 0, kErrUnreadable};
   }
-  std::fwrite(buffer_.data(), 1, buffer_.size(), out_);
-  const bool ok = std::fflush(out_) == 0 && std::ferror(out_) == 0;
-  std::fclose(out_);
-  out_ = nullptr;
+  const bool ok = std::fwrite(out.data(), 1, out.size(), file) == out.size() &&
+                  std::fflush(file) == 0;
+  std::fclose(file);
   if (!ok) {
-    return Error{"I/O error while writing trace file"};
+    return Error{"I/O error while writing '" + path + "'", 0, 0, kErrUnreadable};
   }
   return Status::Ok();
 }
@@ -233,327 +449,78 @@ Result<TraceFile> TraceFile::Read(const std::string& path) {
     return Error{"I/O error while reading '" + path + "'", 0, 0, kErrUnreadable};
   }
 
-  // "TSLATRC<digit>": v1–v3 files are still readable — v1 ends after the
-  // violation list with no metrics section, v1/v2 carry the fixed legacy
-  // stats footer instead of the self-describing one, and only v4 embeds a
-  // manifest. A well-formed magic with a *newer* digit is a version
-  // mismatch, reported as such (distinct exit code in the CLI) rather than
-  // as corruption.
+  // "TSLATRC<digit>": a well-formed magic with another digit is a capture
+  // of another format version, reported as such (a distinct exit code in
+  // the CLI) rather than as corruption.
   if (bytes.size() < sizeof(kTraceMagic) ||
-      std::memcmp(bytes.data(), kTraceMagic, sizeof(kTraceMagic) - 1) != 0) {
+      std::memcmp(bytes.data(), kTraceMagic, sizeof(kTraceMagic) - 1) != 0 ||
+      bytes[7] < '0' || bytes[7] > '9') {
     return Corrupt(path, "not a TESLA trace capture (bad magic)");
   }
-  if (bytes[7] < '1' || bytes[7] > '9') {
-    return Corrupt(path, "not a TESLA trace capture (bad version byte)");
-  }
-  if (bytes[7] > '0' + kTraceVersion) {
+  if (bytes[7] != kTraceMagic[7]) {
     return Error{"'" + path + "' is a TSLATRC v" + std::string(1, bytes[7]) +
-                     " capture; this build reads up to v" + std::to_string(kTraceVersion),
+                     " capture; this build reads v" + std::string(1, kTraceMagic[7]),
                  0, 0, kErrVersionMismatch};
   }
 
   TraceFile file;
-  file.version = static_cast<uint32_t>(bytes[7] - '0');
   Cursor cursor{bytes.data(), bytes.size(), sizeof(kTraceMagic)};
-
-  uint8_t flags = 0;
-  uint64_t value = 0;
-  uint64_t instances_per_context = 0, global_shards = 0;
-  cursor.String(&file.origin);
-  cursor.Byte(&flags);
-  cursor.Varint(&instances_per_context);
-  cursor.Varint(&global_shards);
-  if (!cursor.failed) {
-    Result<CaptureOptions> options =
-        CaptureOptions::Decode(flags, instances_per_context, global_shards);
-    if (!options.ok()) {
-      return Corrupt(path, options.error().message);
+  uint32_t seen = 0;  // bit per known tag
+  while (cursor.remaining() > 0) {
+    uint8_t tag = 0;
+    uint64_t length = 0;
+    cursor.Byte(&tag);
+    cursor.Varint(&length);
+    if (cursor.failed || length > cursor.remaining()) {
+      return Corrupt(path, "section overruns the end of the file");
     }
-    file.options = options.value();
-  }
-  if (file.version >= 4) {
-    cursor.String(&file.manifest_text);
-  }
-
-  uint64_t symbol_count = 0;
-  cursor.Varint(&symbol_count);
-  if (!cursor.FitsRemaining(symbol_count)) {
-    return Corrupt(path, "truncated trace header");
-  }
-  file.symbols.resize(static_cast<size_t>(symbol_count));
-  for (auto& symbol : file.symbols) {
-    cursor.String(&symbol);
-  }
-  if (cursor.failed) {
-    return Corrupt(path, "truncated symbol table");
-  }
-
-  uint64_t seq = 0;
-  uint64_t ts = 0;
-  while (!cursor.failed) {
-    uint8_t kind = 0;
-    if (!cursor.Byte(&kind)) {
-      return Corrupt(path, "trace stream ended without a footer");
+    Cursor section{bytes.data() + cursor.pos, static_cast<size_t>(length)};
+    cursor.pos += static_cast<size_t>(length);
+    if (tag == 0 || tag > static_cast<uint8_t>(Tag::kLast)) {
+      continue;  // a section this reader does not know
     }
-    if (kind == kEndMarker) {
-      break;
+    const char* name = kSectionNames[tag];
+    if ((seen & (1u << tag)) != 0) {
+      return Corrupt(path, std::string("repeated ") + name + " section");
     }
-    if (kind > static_cast<uint8_t>(runtime::EventKind::kAssertionSite)) {
-      return Corrupt(path, "corrupt record kind");
+    seen |= 1u << tag;
+    Status status;
+    switch (static_cast<Tag>(tag)) {
+      case Tag::kPlan:
+        status = GetPlan(section, file);
+        break;
+      case Tag::kSymbols:
+        status = GetSymbols(section, file.symbols);
+        break;
+      case Tag::kRecords:
+        status = GetRecords(section, file.records);
+        break;
+      case Tag::kMetrics:
+        file.summary.has_metrics = true;
+        status = GetMetrics(section, file.summary.metrics);
+        break;
+      case Tag::kProfile:
+        file.summary.has_profile = true;
+        status = GetProfile(section, file.summary.profile);
+        break;
+      case Tag::kSummary:
+        status = GetSummary(section, file.summary);
+        break;
     }
-    TraceRecord record;
-    record.kind = kind;
-    cursor.Byte(&record.flags);
-    cursor.Varint(&value);
-    record.ctx = static_cast<uint32_t>(value);
-    cursor.Varint(&value);
-    seq += value;
-    record.seq = seq;
-    if (file.version >= 6) {
-      cursor.Varint(&value);
-      ts = static_cast<uint64_t>(static_cast<int64_t>(ts) + Unzigzag(value));
-      record.ts_ns = ts;
+    if (!status.ok()) {
+      return Corrupt(path, std::string(name) + " section: " + status.error().message);
     }
-    cursor.Varint(&value);
-    record.target = static_cast<uint32_t>(value);
-    cursor.Byte(&record.count);
-    if (!cursor.failed && record.count > runtime::kMaxEventArgs) {
-      return Corrupt(path, "corrupt record arity");
-    }
-    for (uint8_t i = 0; i < record.count; i++) {
-      cursor.Varint(&value);
-      record.values[i] = Unzigzag(value);
-    }
-    if (static_cast<runtime::EventKind>(kind) == runtime::EventKind::kAssertionSite) {
-      for (uint8_t i = 0; i < record.count; i++) {
-        cursor.Varint(&value);
-        record.vars[i] = static_cast<uint16_t>(value);
-      }
-    }
-    if (static_cast<runtime::EventKind>(kind) == runtime::EventKind::kFunctionReturn) {
-      cursor.Varint(&value);
-      record.return_value = Unzigzag(value);
-    }
-    if (cursor.failed) {
-      return Corrupt(path, "truncated record");
-    }
-    file.records.push_back(record);
-  }
-
-  cursor.Varint(&file.summary.dropped);
-  // v3+ footers lead with a field count; v1/v2 carry exactly the legacy
-  // prefix of today's schema. Either way, fields we don't know about (a
-  // capture from a newer build) are read and discarded, and fields the
-  // capture predates stay zero.
-  uint64_t footer_fields = kLegacyFooterStatsFields;
-  if (file.version >= 3) {
-    cursor.Varint(&footer_fields);
-    if (!cursor.FitsRemaining(footer_fields)) {
-      return Corrupt(path, "truncated footer");
+    if (section.remaining() != 0) {
+      return Corrupt(path, std::string(name) + " section has trailing bytes");
     }
   }
-  for (uint64_t i = 0; i < footer_fields; i++) {
-    cursor.Varint(&value);
-    if (i < runtime::kRuntimeStatsFieldCount) {
-      file.summary.stats.*kStatsFields[i].field = value;
+  for (Tag tag : {Tag::kPlan, Tag::kSymbols, Tag::kRecords, Tag::kSummary}) {
+    if ((seen & (1u << static_cast<uint8_t>(tag))) == 0) {
+      return Corrupt(path, std::string("missing ") + kSectionNames[static_cast<uint8_t>(tag)] +
+                               " section");
     }
   }
-  uint64_t violation_count = 0;
-  cursor.Varint(&violation_count);
-  if (!cursor.FitsRemaining(violation_count, 2)) {  // kind byte + empty string
-    return Corrupt(path, "truncated footer");
-  }
-  file.summary.violations.reserve(static_cast<size_t>(violation_count));
-  for (uint64_t i = 0; i < violation_count; i++) {
-    uint8_t kind = 0;
-    std::string automaton;
-    cursor.Byte(&kind);
-    cursor.String(&automaton);
-    if (cursor.failed) {
-      return Corrupt(path, "truncated footer");
-    }
-    if (kind > static_cast<uint8_t>(runtime::ViolationKind::kRateExceeded)) {
-      return Corrupt(path, "invalid violation kind");
-    }
-    file.summary.violations.emplace_back(static_cast<runtime::ViolationKind>(kind),
-                                         std::move(automaton));
-  }
-  if (cursor.failed) {
-    return Corrupt(path, "truncated footer");
-  }
-
-  if (file.version >= 2) {
-    // The presence byte is mandatory in v2+ — a capture ending before it was
-    // cut mid-footer, even though every field so far decoded cleanly.
-    uint8_t has_metrics = 0;
-    cursor.Byte(&has_metrics);
-    if (cursor.failed) {
-      return Corrupt(path, "truncated footer");
-    }
-    if (has_metrics > 1) {
-      return Corrupt(path, "invalid metrics presence byte");
-    }
-    if (has_metrics != 0) {
-      file.summary.has_metrics = true;
-      metrics::Snapshot& snap = file.summary.metrics;
-      snap.stats = file.summary.stats;
-      uint8_t mode = 0;
-      cursor.Byte(&mode);
-      if (!cursor.failed && mode > static_cast<uint8_t>(metrics::MetricsMode::kFull)) {
-        return Corrupt(path, "invalid metrics mode");
-      }
-      snap.mode = static_cast<metrics::MetricsMode>(mode);
-      uint64_t class_count = 0;
-      cursor.Varint(&class_count);
-      // Every class carries at least a name length and its counter varints.
-      if (!cursor.FitsRemaining(class_count, 1 + metrics::kClassCounterCount)) {
-        return Corrupt(path, "truncated metrics section");
-      }
-      snap.classes.resize(static_cast<size_t>(class_count));
-      for (metrics::ClassSnapshot& cls : snap.classes) {
-        cursor.String(&cls.name);
-        for (size_t k = 0; k < metrics::kClassCounterCount; k++) {
-          cursor.Varint(&cls.counters[k]);
-        }
-        uint64_t transition_count = 0;
-        cursor.Varint(&transition_count);
-        // state + symbol + fired + description length: ≥ 4 bytes each.
-        if (!cursor.FitsRemaining(transition_count, 4)) {
-          return Corrupt(path, "truncated metrics section");
-        }
-        cls.transitions.resize(static_cast<size_t>(transition_count));
-        for (metrics::TransitionCoverage& transition : cls.transitions) {
-          uint8_t fired = 0;
-          cursor.Varint(&value);
-          transition.state = static_cast<uint32_t>(value);
-          cursor.Varint(&value);
-          transition.symbol = static_cast<uint16_t>(value);
-          cursor.Byte(&fired);
-          transition.fired = fired != 0;
-          cursor.String(&transition.description);
-        }
-      }
-      if (snap.mode == metrics::MetricsMode::kFull) {
-        for (size_t kind = 0; kind < metrics::kEventKinds; kind++) {
-          metrics::HistogramData& hist = snap.histograms[kind];
-          cursor.Varint(&hist.count);
-          cursor.Varint(&hist.sum_ns);
-          uint64_t occupied = 0;
-          cursor.Varint(&occupied);
-          if (cursor.failed || occupied > metrics::kHistogramBuckets) {
-            return Corrupt(path, "truncated metrics section");
-          }
-          for (uint64_t i = 0; i < occupied; i++) {
-            uint64_t bucket = 0;
-            cursor.Varint(&bucket);
-            cursor.Varint(&value);
-            if (bucket < metrics::kHistogramBuckets) {
-              hist.buckets[bucket] = value;
-            }
-          }
-        }
-      }
-      if (cursor.failed) {
-        return Corrupt(path, "truncated metrics section");
-      }
-    }
-  }
-
-  if (file.version >= 5) {
-    uint8_t has_profile = 0;
-    cursor.Byte(&has_profile);
-    if (cursor.failed) {
-      return Corrupt(path, "truncated footer");
-    }
-    if (has_profile > 1) {
-      return Corrupt(path, "invalid profile presence byte");
-    }
-    if (has_profile != 0) {
-      file.summary.has_profile = true;
-      profile::Snapshot& prof = file.summary.profile;
-      cursor.Varint(&prof.pool_capacity);
-      cursor.Varint(&prof.pool_high_water);
-      uint64_t class_count = 0;
-      cursor.Varint(&class_count);
-      // Every class carries at least a name length, a key-var count, a cell
-      // count, and the fixed partial/sketch words.
-      const uint64_t min_class_bytes =
-          3 + profile::kMaxKeyVars + profile::kMaxKeyVars * profile::kSketchWords;
-      if (!cursor.FitsRemaining(class_count, min_class_bytes)) {
-        return Corrupt(path, "truncated profile section");
-      }
-      prof.classes.resize(static_cast<size_t>(class_count));
-      for (profile::ClassProfile& cls : prof.classes) {
-        cursor.String(&cls.name);
-        uint64_t key_var_count = 0;
-        cursor.Varint(&key_var_count);
-        if (cursor.failed || key_var_count > profile::kMaxKeyVars) {
-          return Corrupt(path, "truncated profile section");
-        }
-        cls.key_vars.resize(static_cast<size_t>(key_var_count));
-        for (uint16_t& var : cls.key_vars) {
-          cursor.Varint(&value);
-          var = static_cast<uint16_t>(value);
-        }
-        uint64_t cell_count = 0;
-        cursor.Varint(&cell_count);
-        if (!cursor.FitsRemaining(cell_count)) {
-          return Corrupt(path, "truncated profile section");
-        }
-        // Cells a newer writer appended are read and discarded; cells the
-        // capture predates stay zero.
-        for (uint64_t i = 0; i < cell_count; i++) {
-          cursor.Varint(&value);
-          if (i < profile::kCellCount) {
-            cls.cells[i] = value;
-          }
-        }
-        for (size_t p = 0; p < profile::kMaxKeyVars; p++) {
-          cursor.Varint(&cls.var_partial[p]);
-        }
-        for (size_t p = 0; p < profile::kMaxKeyVars; p++) {
-          for (size_t w = 0; w < profile::kSketchWords; w++) {
-            cursor.Varint(&cls.sketch[p][w]);
-          }
-        }
-        if (cursor.failed) {
-          return Corrupt(path, "truncated profile section");
-        }
-      }
-    }
-  }
-
-  if (file.version >= 6) {
-    uint8_t has_timestamps = 0;
-    cursor.Byte(&has_timestamps);
-    if (cursor.failed) {
-      return Corrupt(path, "truncated footer");
-    }
-    if (has_timestamps > 1) {
-      return Corrupt(path, "invalid timestamp presence byte");
-    }
-    if (has_timestamps != 0) {
-      file.summary.has_timestamps = true;
-      uint64_t ts_fields = 0;
-      cursor.Varint(&ts_fields);
-      if (!cursor.FitsRemaining(ts_fields)) {
-        return Corrupt(path, "truncated timestamp section");
-      }
-      // Fields a newer writer appended are read and discarded (same policy
-      // as the stats footer); fields the capture predates stay zero.
-      for (uint64_t i = 0; i < ts_fields; i++) {
-        cursor.Varint(&value);
-        if (i == 0) {
-          file.summary.ts_base_ns = value;
-        } else if (i == 1) {
-          file.summary.ts_last_ns = value;
-        }
-      }
-      if (cursor.failed) {
-        return Corrupt(path, "truncated timestamp section");
-      }
-    }
-  }
+  file.summary.metrics.stats = file.summary.stats;
   return file;
 }
 

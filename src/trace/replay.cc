@@ -33,41 +33,47 @@ Status WriteCapture(const std::string& path, const std::string& origin,
   if (recorder == nullptr || recorder->mode() != TraceMode::kFullCapture) {
     return Error{"writing a capture requires trace_mode = full-capture"};
   }
-  const Snapshot snapshot = recorder->Harvest();
+  Snapshot snapshot = recorder->Harvest();
 
-  TraceWriter writer;
+  TraceFile file;
+  file.origin = origin;
+  file.options = CaptureOptions::Of(rt.options());
+  file.index_min_population = rt.options().index_min_population;
+  file.plan_hints = rt.options().plan_hints;
   // Embedding the registered manifest makes the capture self-describing:
   // replay prefers it over resolving `origin`, so the file replays on any
   // machine — including user assertion sets no build ships a manifest for.
-  if (Status status = writer.Open(path, origin, CaptureOptions::Of(rt.options()),
-                                  GlobalInterner(), rt.ManifestText());
-      !status.ok()) {
-    return status;
+  file.manifest_text = rt.ManifestText();
+  const StringInterner& interner = GlobalInterner();
+  file.symbols.reserve(interner.size());
+  for (Symbol symbol = 0; symbol < interner.size(); symbol++) {
+    file.symbols.push_back(interner.Spelling(symbol));
   }
-  for (const TraceRecord& record : snapshot.records) {
-    writer.Append(record);
-  }
-  SemanticSummary summary;
-  summary.dropped = snapshot.dropped;
-  summary.stats = rt.stats();
-  summary.violations = rt.violation_log();
+  file.records = std::move(snapshot.records);
+  file.summary.dropped = snapshot.dropped;
+  file.summary.stats = rt.stats();
+  file.summary.violations = rt.violation_log();
   // The sections follow the options: one collector serves both views.
   if (rt.options().metrics_mode != metrics::MetricsMode::kOff) {
-    summary.has_metrics = true;
-    summary.metrics = rt.CollectMetrics();
+    file.summary.has_metrics = true;
+    file.summary.metrics = rt.CollectMetrics();
   }
   if (rt.options().profile) {
-    summary.has_profile = true;
-    summary.profile = rt.CollectProfile();
+    file.summary.has_profile = true;
+    file.summary.profile = rt.CollectProfile();
   }
-  return writer.Finish(summary);
+  return file.Write(path);
 }
 
 runtime::RuntimeOptions ReplayOptions(const TraceFile& file) {
   runtime::RuntimeOptions options = file.options.ToRuntimeOptions();
   options.fail_stop = false;
   options.trace_mode = TraceMode::kOff;
-  // A capture with an embedded metrics footer is replayed with counters on
+  // The plan inputs: the probe gate and the hints decide index_probes vs
+  // index_scans and the pool sizes, so a hinted capture replays hinted.
+  options.index_min_population = static_cast<size_t>(file.index_min_population);
+  options.plan_hints = file.plan_hints;
+  // A capture with an embedded metrics section is replayed with counters on
   // so per-class counters and transition coverage can be diffed. Histograms
   // stay off — they time the replayer, not the original run.
   options.metrics_mode = file.summary.has_metrics ? metrics::MetricsMode::kCounters
@@ -238,9 +244,9 @@ Result<ReplayResult> ReplayFile(const std::string& path) {
     return read.error();
   }
   TraceFile file = std::move(read.value());
-  // v4 captures are self-describing: the embedded manifest wins, so the
-  // origin string is informational and replay needs no built-in manifest.
-  // Older captures (or writers that embedded nothing) fall back to origin
+  // A capture with an embedded manifest is self-describing: the manifest
+  // wins, so the origin string is informational and replay needs no
+  // built-in manifest. Writers that embedded nothing fall back to origin
   // resolution — including the file:<path> form.
   Result<automata::Manifest> manifest =
       file.manifest_text.empty() ? ManifestForOrigin(file.origin)

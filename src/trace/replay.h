@@ -36,7 +36,7 @@ struct ReplayResult {
   std::vector<std::pair<runtime::ViolationKind, std::string>> violations;
   bool matched = false;    // stats and violation sequence agree with the capture
   std::string divergence;  // per-field mismatch report ("" when matched)
-  // When the capture embeds a metrics footer, the replay runs with counters
+  // When the capture embeds a metrics section, the replay runs with counters
   // on and its snapshot lands here; per-class counters and transition
   // coverage are folded into the matched/divergence verdict (histograms are
   // wall-clock and never compared).
@@ -49,19 +49,19 @@ struct ReplayResult {
 };
 
 // RuntimeOptions reproducing the capture's semantics: the recorded
-// semantics-bearing options, tracing off, and fail_stop off (a capture that
-// reached its footer never aborted, so continuing past violations is
+// semantics-bearing options and plan inputs, tracing off, and fail_stop off
+// (a capture that was written never aborted, so continuing past violations is
 // equivalent — and required to compare complete runs).
 runtime::RuntimeOptions ReplayOptions(const TraceFile& file);
 
 // Replays `file` through `rt` — whose manifest must already be registered
 // against a remapped file (TraceFile::InternAndRemap() before
-// Runtime::Register()) — and compares stats and violations with the footer.
+// Runtime::Register()) — and compares stats and violations with the summary.
 // Installs a temporary violation-collecting handler: `rt` must not process
 // further events after this returns.
 Result<ReplayResult> Replay(const TraceFile& file, runtime::Runtime& rt);
 
-// Convenience: read `path`, obtain its manifest (the embedded v4 manifest
+// Convenience: read `path`, obtain its manifest (the embedded manifest
 // when present, else the resolved origin — see trace/origins.h), build a
 // matching Runtime and replay.
 Result<ReplayResult> ReplayFile(const std::string& path);

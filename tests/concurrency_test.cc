@@ -328,7 +328,6 @@ TEST_P(StatsCellsTest, ResetZeroesEveryBlock) {
 
   rt->ResetStats();
   ExpectStatsEqual(rt->stats(), runtime::RuntimeStats{});
-  EXPECT_EQ(rt->shard_pool_overflows(), 0u);
 
   // After the reset, the live context's and the shards' cells count from
   // zero: one more stream reads exactly like a fresh runtime's.

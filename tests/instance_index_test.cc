@@ -84,7 +84,6 @@ struct Pair {
     ASSERT_EQ(a.overflows, b.overflows) << where;
     ASSERT_EQ(a.ignored_events, b.ignored_events) << where;
     ASSERT_EQ(a.arg_truncations, b.arg_truncations) << where;
-    ASSERT_EQ(a.site_variant_truncations, b.site_variant_truncations) << where;
     // index_probes / index_scans are deliberately NOT compared: the naive
     // side never touches the index, so they differ by construction.
 

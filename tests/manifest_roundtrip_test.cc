@@ -2,7 +2,7 @@
 // round trip must be a fixpoint that compiles an identical dispatch plan
 // (checked behaviourally over the kernel workload), a `file:` origin must
 // let a capture replay in a process with no built-in knowledge of its
-// assertion set, and the embedded v4 manifest must beat an unresolvable
+// assertion set, and the embedded manifest must beat an unresolvable
 // origin string.
 #include <gtest/gtest.h>
 
@@ -108,17 +108,13 @@ TEST(ManifestRoundTrip, SerialiseParseRegisterIsAFixpoint) {
 }
 
 // Strips the embedded manifest from a capture, rewriting it with `origin` —
-// the shape of a pre-v4 capture, or one written by a minimal producer.
+// the shape of a capture written by a minimal producer.
 void RewriteWithoutManifest(const TraceFile& file, const std::string& origin,
                             const std::string& path) {
-  trace::TraceWriter writer;
-  // Same-process rewrite: the global interner is a superset of the capture's
-  // symbol table, and the ids agree, so records carry over untouched.
-  ASSERT_TRUE(writer.Open(path, origin, file.options, GlobalInterner()).ok());
-  for (const trace::TraceRecord& record : file.records) {
-    writer.Append(record);
-  }
-  ASSERT_TRUE(writer.Finish(file.summary).ok());
+  TraceFile stripped = file;
+  stripped.origin = origin;
+  stripped.manifest_text.clear();
+  ASSERT_TRUE(stripped.Write(path).ok());
 }
 
 TEST(ManifestRoundTrip, FileOriginReplaysWithoutBuiltInManifest) {
@@ -140,7 +136,7 @@ TEST(ManifestRoundTrip, FileOriginReplaysWithoutBuiltInManifest) {
 
   auto read = TraceFile::Read(capture_path);
   ASSERT_TRUE(read.ok());
-  ASSERT_FALSE(read.value().manifest_text.empty());  // v4 always embeds
+  ASSERT_FALSE(read.value().manifest_text.empty());  // WriteCapture always embeds
 
   // Remove the embedded copy: replay must now resolve the file: origin —
   // the only route a fresh process without this binary's manifests has.
@@ -163,7 +159,7 @@ TEST(ManifestRoundTrip, EmbeddedManifestBeatsUnresolvableOrigin) {
   ASSERT_TRUE(manifest.ok());
   ASSERT_TRUE(rt.Register(manifest.value()).ok());
   DriveKernel(rt);
-  // The origin names nothing this (or any) binary knows; the v4 embedded
+  // The origin names nothing this (or any) binary knows; the embedded
   // manifest alone must carry the replay.
   ASSERT_TRUE(trace::WriteCapture(path, "decommissioned-host:job42", rt).ok());
   auto replayed = trace::ReplayFile(path);

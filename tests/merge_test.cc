@@ -28,7 +28,6 @@ using trace::TraceFile;
 TraceFile Shard(uint64_t base, size_t records,
                 std::vector<std::pair<ViolationKind, std::string>> violations) {
   TraceFile file;
-  file.version = trace::kTraceVersion;
   file.origin = "test:merge";
   file.summary.dropped = base;
   uint64_t value = base;

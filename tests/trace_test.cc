@@ -225,18 +225,30 @@ TEST(TraceFormat, BinaryRoundTrip) {
   summary.violations.emplace_back(runtime::ViolationKind::kBadSite, "format-test");
   summary.violations.emplace_back(runtime::ViolationKind::kStrictEvent, "format-test-2");
 
-  trace::TraceWriter writer;
-  ASSERT_TRUE(writer.Open(path, "test:format", options, GlobalInterner()).ok());
-  for (const TraceRecord& record : records) {
-    writer.Append(record);
+  trace::TraceFile written;
+  written.origin = "test:format";
+  written.options = options;
+  written.index_min_population = 3;
+  written.plan_hints.classes.push_back({"format class", 12, 0, 1});
+  written.manifest_text = "format-manifest";
+  for (Symbol symbol = 0; symbol < GlobalInterner().size(); symbol++) {
+    written.symbols.push_back(GlobalInterner().Spelling(symbol));
   }
-  ASSERT_TRUE(writer.Finish(summary).ok());
+  written.records = records;
+  written.summary = summary;
+  ASSERT_TRUE(written.Write(path).ok());
 
   auto read = trace::TraceFile::Read(path);
   ASSERT_TRUE(read.ok()) << read.error().ToString();
   const trace::TraceFile& file = read.value();
-  EXPECT_EQ(file.version, trace::kTraceVersion);
   EXPECT_EQ(file.origin, "test:format");
+  EXPECT_EQ(file.index_min_population, 3u);
+  ASSERT_EQ(file.plan_hints.classes.size(), 1u);
+  EXPECT_EQ(file.plan_hints.classes[0].name, "format class");
+  EXPECT_EQ(file.plan_hints.classes[0].capacity, 12u);
+  EXPECT_EQ(file.plan_hints.classes[0].min_population, 0);
+  EXPECT_EQ(file.plan_hints.classes[0].prefix_key_pos, 1);
+  EXPECT_EQ(file.manifest_text, "format-manifest");
   EXPECT_EQ(file.options.lazy_init, options.lazy_init);
   EXPECT_EQ(file.options.use_dfa, options.use_dfa);
   EXPECT_EQ(file.options.instance_index, options.instance_index);
@@ -338,6 +350,80 @@ TEST(TraceReplay, SslsimCaptureRoundTrips) {
   ASSERT_TRUE(replayed.ok()) << replayed.error().ToString();
   EXPECT_TRUE(replayed.value().matched) << replayed.value().divergence;
   EXPECT_EQ(replayed.value().violations, rt.violation_log());
+  std::remove(path.c_str());
+}
+
+// The plan inputs beyond CaptureOptions — index_min_population and the
+// plan hints — decide index probes against scans and the pool size, so a
+// hinted capture replays exactly only if it carries them.
+TEST(TraceReplay, HintedCaptureRoundTrips) {
+  SetLogLevel(LogLevel::kSilent);
+  const std::string path = TempPath("tesla_hinted_roundtrip.trace");
+  RuntimeOptions options = TestOptions(trace::TraceMode::kFullCapture);
+  options.profile = true;
+  options.index_min_population = 3;
+  options.plan_hints.classes.push_back({"hinted", 40, 0, 0});
+  Runtime rt(options);
+  // "gated" has no hint, so the global gate (3, not the default 8) decides
+  // whether its handful of live instances is probed or scanned.
+  automata::Manifest manifest;
+  for (const auto& [name, source] :
+       {std::pair{"hinted", "TESLA_WITHIN(syscall, previously(pair(x, y) == 0))"},
+        std::pair{"gated", "TESLA_WITHIN(syscall, previously(check(x) == 0))"}}) {
+    auto automaton = CompileAssertion(source, {}, name);
+    ASSERT_TRUE(automaton.ok());
+    manifest.Add(std::move(automaton.value()));
+  }
+  ASSERT_TRUE(rt.Register(manifest).ok());
+  const uint32_t id = static_cast<uint32_t>(rt.FindAutomaton("hinted"));
+  const uint32_t gated = static_cast<uint32_t>(rt.FindAutomaton("gated"));
+  ThreadContext ctx(rt);
+
+  uint64_t rng = 12345;
+  for (int round = 0; round < 400; round++) {
+    rng = rng * 6364136223846793005ull + 1;
+    const int64_t x = static_cast<int64_t>((rng >> 40) % 4);
+    const int64_t y = static_cast<int64_t>((rng >> 45) % 4);
+    int64_t args[] = {x, y};
+    Binding full[] = {{0, x}, {1, y}};
+    Binding partial[] = {{0, x}};
+    switch ((rng >> 33) % 7) {
+      case 0:
+        rt.OnFunctionCall(ctx, S("syscall"), {});
+        break;
+      case 1:
+        rt.OnFunctionReturn(ctx, S("pair"), args, 0);
+        break;
+      case 2:
+        rt.OnAssertionSite(ctx, id, full);
+        break;
+      case 3:
+        rt.OnAssertionSite(ctx, id, partial);
+        break;
+      case 4:
+        rt.OnFunctionReturn(ctx, S("check"), args, 0);
+        break;
+      case 5:
+        rt.OnAssertionSite(ctx, gated, partial);
+        break;
+      default:
+        rt.OnFunctionReturn(ctx, S("syscall"), {}, 0);
+        break;
+    }
+  }
+  ASSERT_GT(rt.stats().index_probes, 0u);
+  ASSERT_TRUE(trace::WriteCapture(path, "test:hinted", rt).ok());
+
+  auto read = trace::TraceFile::Read(path);
+  ASSERT_TRUE(read.ok()) << read.error().ToString();
+  EXPECT_EQ(read.value().index_min_population, 3u);
+  ASSERT_EQ(read.value().plan_hints.classes.size(), 1u);
+  EXPECT_EQ(read.value().plan_hints.classes[0].capacity, 40u);
+
+  auto replayed = trace::ReplayFile(path);
+  ASSERT_TRUE(replayed.ok()) << replayed.error().ToString();
+  EXPECT_TRUE(replayed.value().matched) << replayed.value().divergence;
+  EXPECT_EQ(replayed.value().stats.index_probes, rt.stats().index_probes);
   std::remove(path.c_str());
 }
 
@@ -508,7 +594,6 @@ TEST(SiteVariants, ManySatisfiedIncallstackVariantsAreNeverDropped) {
 
   EXPECT_EQ(rt.stats().violations, 0u);
   EXPECT_GE(rt.stats().accepts, 1u);
-  EXPECT_EQ(rt.stats().site_variant_truncations, 0u);
 }
 
 TEST(Forensics, DescribeFilterAndRender) {

@@ -1,8 +1,9 @@
 // tesla-trace: inspect, replay, aggregate and live-attach TESLA captures.
 //
-//   tesla-trace dump    <file>          print the header and every record
+//   tesla-trace dump    <file>          print the plan (options, gate,
+//                                       hints) and every record
 //   tesla-trace stats   <file>          print the capture's semantic summary
-//                                       and, when a metrics footer is
+//                                       and, when a metrics section is
 //                                       embedded, the per-class counters,
 //                                       latency histograms and transition-
 //                                       coverage table (--json / --prom
@@ -35,7 +36,7 @@
 //                                       OR'd, violations as a census
 //   tesla-trace profile <file>... [--json|--prom] [--hints-out hints]
 //                                       render the embedded workload
-//                                       profile (v5) — hot-class ranking,
+//                                       profile — hot-class ranking,
 //                                       scan-fallback offenders, capacity
 //                                       headroom; multiple captures merge
 //                                       first. --hints-out compiles the
@@ -49,7 +50,7 @@
 //   2  usage error
 //   3  unreadable input (missing file, shm name never appeared, I/O error)
 //   4  unknown capture origin
-//   5  version mismatch (capture or shm segment newer than this build)
+//   5  version mismatch (capture or shm segment of another format version)
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -152,6 +153,10 @@ void PrintSummary(const TraceFile& file) {
 
 int Dump(const TraceFile& file) {
   PrintHeader(file);
+  // The plan inputs replay applies beyond the options line; the hints print
+  // in the --plan-hints file format.
+  std::printf("index_min_population: %" PRIu64 "\n", file.index_min_population);
+  std::printf("plan hints:\n%s", profile::HintsToText(file.plan_hints).c_str());
   // Resolve against the file's own symbol table — dumping never requires the
   // dumping process to know the capture's automata.
   SymbolResolver resolve = [&file](uint32_t symbol) -> std::string {
@@ -167,7 +172,7 @@ int Dump(const TraceFile& file) {
 int Stats(const TraceFile& file, const std::string& format) {
   if (format == "--json" || format == "--prom") {
     if (!file.summary.has_metrics) {
-      std::fprintf(stderr, "tesla-trace: capture has no metrics footer "
+      std::fprintf(stderr, "tesla-trace: capture has no metrics section "
                            "(record with metrics_mode != off)\n");
       return 1;
     }
@@ -212,8 +217,8 @@ int Replay(const std::string& path) {
 
 // Extracts the capture's assertion set as a standalone .tesla manifest —
 // the blob a `file:<path>` origin (or `tesla-trace attach --manifest`)
-// consumes. Prefers the embedded v4 manifest; falls back to resolving the
-// origin for older captures.
+// consumes. Prefers the embedded manifest; falls back to resolving the
+// origin when the writer embedded none.
 int EmitManifest(const std::string& path, const std::string& output) {
   Result<TraceFile> read = TraceFile::Read(path);
   if (!read.ok()) {

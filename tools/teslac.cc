@@ -171,7 +171,7 @@ int CmdRun(const std::vector<std::string>& sources, const std::string& entry,
     return 1;
   }
   if (!emit_manifest.empty()) {
-    // The *registered* manifest, re-serialised: what a v4 capture embeds,
+    // The *registered* manifest, re-serialised: what a capture embeds,
     // with automaton ids fixed by registration order — the exact blob a
     // file:<path> origin re-registers elsewhere.
     std::ofstream out(emit_manifest);
