@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 // Baked in by bench/CMakeLists.txt from `git rev-parse --short HEAD`.
 #ifndef TESLA_GIT_SHA
 #define TESLA_GIT_SHA "unknown"
@@ -73,8 +75,10 @@ inline void PrintRow(const std::string& label, double value, double base) {
 
 // Machine-readable results. Every bench binary, alongside its human-readable
 // table, writes BENCH_<name>.json into $TESLA_BENCH_JSON_DIR (default: the
-// current directory) so CI and regression tooling can diff runs without
-// scraping stdout. Schema: bench/README.md.
+// directory holding the binary, so a bare run from the repository root never
+// overwrites the committed reference BENCH_*.json there) so CI and
+// regression tooling can diff runs without scraping stdout. Schema:
+// bench/README.md.
 class JsonReport {
  public:
   explicit JsonReport(std::string bench_name) : bench_(std::move(bench_name)) {}
@@ -86,7 +90,7 @@ class JsonReport {
   // Writes the report; returns false (after perror) if the file can't be
   // opened. Call once at the end of main().
   bool Write() const {
-    std::string dir = ".";
+    std::string dir = ExecutableDir();
     if (const char* env = std::getenv("TESLA_BENCH_JSON_DIR"); env != nullptr && *env != '\0') {
       dir = env;
     }
@@ -116,6 +120,19 @@ class JsonReport {
     double value;
     std::string unit;
   };
+
+  // The running binary's directory (Linux /proc/self/exe); "." if it
+  // cannot be resolved.
+  static std::string ExecutableDir() {
+    char path[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", path, sizeof(path) - 1);
+    if (n <= 0) {
+      return ".";
+    }
+    const std::string exe(path, static_cast<size_t>(n));
+    const size_t slash = exe.rfind('/');
+    return slash == std::string::npos || slash == 0 ? "." : exe.substr(0, slash);
+  }
 
   static std::string Escape(const std::string& in) {
     std::string out;

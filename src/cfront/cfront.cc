@@ -618,8 +618,12 @@ class UnitParser {
         {"*", BinOp::kMul, 5, false},  {"/", BinOp::kDiv, 5, false},
         {"%", BinOp::kMod, 5, false},
     };
-    auto lhs = ParseUnary();
-    if (!lhs.ok()) return lhs;
+    auto first = ParseUnary();
+    if (!first.ok()) return first;
+    // The running left operand stays a plain Reg: re-assigning a Result
+    // would move-assign its variant, which GCC's -Wmaybe-uninitialized
+    // misreads (under -O1 with the sanitizers) as reading the Error arm.
+    Reg lhs = *first;
     while (Check(Token::Kind::kPunct)) {
       const OpLevel* matched = nullptr;
       for (const OpLevel& level : kLevels) {
@@ -634,7 +638,7 @@ class UnitParser {
       Advance();
       auto rhs = ParseBinary(matched->level + 1);
       if (!rhs.ok()) return rhs;
-      Reg a = *lhs;
+      Reg a = lhs;
       Reg b = *rhs;
       if (matched->logical) {
         a = Normalize(a);

@@ -1,9 +1,9 @@
 #include "ipc/publisher.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -62,14 +62,15 @@ Status ShmPublisher::Start(const std::string& origin) {
   for (size_t i = 0; i < symbol_count; i++) {
     trace::PutString(symtab, interner.Spelling(static_cast<Symbol>(i)));
   }
-  const std::string manifest_text = rt_.ManifestText();
+  const std::vector<uint8_t> plan =
+      trace::Plan::Of(origin, rt_.options(), rt_.ManifestText()).Encode();
 
   ShmSegment::Geometry geometry;
   geometry.lane_count = options_.lanes;
   geometry.lane_words =
       static_cast<uint64_t>(options_.lane_capacity_events) * queue::kMaxRecordWords;
   geometry.symtab_bytes = symtab.size();
-  geometry.manifest_bytes = manifest_text.size();
+  geometry.plan_bytes = plan.size();
   Result<std::unique_ptr<ShmSegment>> created = ShmSegment::Create(shm_name_, geometry);
   if (!created.ok()) {
     return created.error();
@@ -77,15 +78,10 @@ Status ShmPublisher::Start(const std::string& origin) {
   segment_ = std::move(created.value());
 
   std::memcpy(segment_->symtab(), symtab.data(), symtab.size());
-  std::memcpy(segment_->manifest(), manifest_text.data(), manifest_text.size());
+  std::memcpy(segment_->plan(), plan.data(), plan.size());
 
   ShmHeader& header = segment_->header();
   header.symbol_count = static_cast<uint32_t>(symbol_count);
-  const trace::CaptureOptions options = trace::CaptureOptions::Of(rt_.options());
-  header.opt_flags = options.flags();
-  header.instances_per_context = options.instances_per_context;
-  header.global_shards = options.global_shards;
-  std::snprintf(header.origin, kShmOriginBytes, "%s", origin.c_str());
   header.producer_pid.store(static_cast<int32_t>(::getpid()), std::memory_order_relaxed);
 
   lanes_.clear();

@@ -38,20 +38,20 @@ Result<std::string> NormaliseName(const std::string& name) {
 
 struct Offsets {
   size_t symtab = 0;
-  size_t manifest = 0;
+  size_t plan = 0;
   size_t lanes = 0;
   size_t words = 0;
   size_t total = 0;
 };
 
 Offsets ComputeOffsets(uint32_t lane_count, uint64_t lane_words, size_t symtab_bytes,
-                       size_t manifest_bytes) {
+                       size_t plan_bytes) {
   Offsets offsets;
   offsets.symtab = AlignUp(sizeof(ShmHeader), 8);
-  offsets.manifest = offsets.symtab + symtab_bytes;
+  offsets.plan = offsets.symtab + symtab_bytes;
   // RingControl demands cacheline alignment; the word arrays follow the
   // controls (whose size is a multiple of 64) so they inherit it.
-  offsets.lanes = AlignUp(offsets.manifest + manifest_bytes, 64);
+  offsets.lanes = AlignUp(offsets.plan + plan_bytes, 64);
   offsets.words = offsets.lanes + static_cast<size_t>(lane_count) * sizeof(queue::RingControl);
   offsets.total =
       offsets.words + static_cast<size_t>(lane_count) * static_cast<size_t>(lane_words) * 8;
@@ -101,7 +101,7 @@ Result<std::unique_ptr<ShmSegment>> ShmSegment::Create(const std::string& name,
   }
 
   const Offsets offsets = ComputeOffsets(geometry.lane_count, lane_words,
-                                         geometry.symtab_bytes, geometry.manifest_bytes);
+                                         geometry.symtab_bytes, geometry.plan_bytes);
   if (::ftruncate(fd, static_cast<off_t>(offsets.total)) != 0) {
     const std::string detail = std::strerror(errno);
     ::close(fd);
@@ -123,7 +123,7 @@ Result<std::unique_ptr<ShmSegment>> ShmSegment::Create(const std::string& name,
   segment->mapped_bytes_ = offsets.total;
   segment->owner_ = true;
   segment->symtab_offset_ = offsets.symtab;
-  segment->manifest_offset_ = offsets.manifest;
+  segment->plan_offset_ = offsets.plan;
   segment->lanes_offset_ = offsets.lanes;
   segment->words_offset_ = offsets.words;
   segment->geometry_ = geometry;
@@ -138,7 +138,7 @@ Result<std::unique_ptr<ShmSegment>> ShmSegment::Create(const std::string& name,
   header->lane_count = geometry.lane_count;
   header->lane_words = lane_words;
   header->symtab_bytes = geometry.symtab_bytes;
-  header->manifest_bytes = geometry.manifest_bytes;
+  header->plan_bytes = geometry.plan_bytes;
   segment->header_ = header;
   for (uint32_t lane = 0; lane < geometry.lane_count; lane++) {
     new (segment->base_ + offsets.lanes + lane * sizeof(queue::RingControl))
@@ -204,7 +204,7 @@ Status ShmSegment::ValidateGeometry() {
   // so every later use reads the checked copy, never the mapping.
   const Geometry geometry{header.lane_count, header.lane_words,
                           static_cast<size_t>(header.symtab_bytes),
-                          static_cast<size_t>(header.manifest_bytes)};
+                          static_cast<size_t>(header.plan_bytes)};
   if (geometry.lane_count == 0 || geometry.lane_count > kShmMaxLanes) {
     return Error{"shm segment '" + name_ + "': invalid lane count " +
                      std::to_string(geometry.lane_count),
@@ -219,8 +219,8 @@ Status ShmSegment::ValidateGeometry() {
   // A region size past the mapping is corrupt on its own; with every size
   // bounded by it, the offset sums cannot wrap back inside the mapping.
   const Offsets offsets = ComputeOffsets(geometry.lane_count, geometry.lane_words,
-                                         geometry.symtab_bytes, geometry.manifest_bytes);
-  if (geometry.symtab_bytes > mapped_bytes_ || geometry.manifest_bytes > mapped_bytes_ ||
+                                         geometry.symtab_bytes, geometry.plan_bytes);
+  if (geometry.symtab_bytes > mapped_bytes_ || geometry.plan_bytes > mapped_bytes_ ||
       geometry.lane_words > mapped_bytes_ || offsets.total > mapped_bytes_) {
     return Error{"shm segment '" + name_ + "': geometry exceeds the mapped " +
                      std::to_string(mapped_bytes_) + " bytes",
@@ -228,7 +228,7 @@ Status ShmSegment::ValidateGeometry() {
   }
   geometry_ = geometry;
   symtab_offset_ = offsets.symtab;
-  manifest_offset_ = offsets.manifest;
+  plan_offset_ = offsets.plan;
   lanes_offset_ = offsets.lanes;
   words_offset_ = offsets.words;
   return Status::Ok();

@@ -6,20 +6,21 @@
 // `tesla-trace attach`). The segment is self-describing in the same spirit
 // as a TSLATRC capture: besides the event lanes it embeds everything a
 // fresh process needs to dispatch the stream — the publisher's interner
-// table (so symbol ids remap), the serialised manifest (so the assertion
-// set registers), the semantics-bearing runtime options and the origin
-// string.
+// table (so symbol ids remap) and its plan (trace::Plan: the origin, the
+// manifest so the assertion set registers, the semantics-bearing runtime
+// options and the plan inputs that move verdict counters), encoded exactly
+// as a capture's plan section.
 //
 // Layout (offsets computed from the header's geometry fields):
 //
-//   ShmHeader                  magic "TSLASHM1", version, geometry, options,
-//                              origin, and the live coordination atomics
+//   ShmHeader                  magic "TSLASHM1", version, geometry and the
+//                              live coordination atomics
 //   symbol table               varint count, then count varint-length-
 //                              prefixed spellings — the publisher interner's
 //                              frozen prefix [0, symbol_count), written
 //                              before the segment goes live (the "interner
 //                              generation" the subscriber remaps against)
-//   manifest                   manifest_bytes of .tesla text (may be empty)
+//   plan                       plan_bytes of trace::Plan::Encode()
 //   RingControl × lane_count   per-lane head/tail, a cacheline each
 //   lane words                 lane_count rings of lane_words 64-bit words
 //
@@ -32,7 +33,7 @@
 //
 // Attach/detach protocol:
 //   * the publisher creates the segment (O_CREAT|O_EXCL), writes geometry,
-//     symbols, manifest and options, then release-stores state = kLive;
+//     symbols and plan, then release-stores state = kLive;
 //   * a subscriber opens the name, acquire-loads state until kLive (bounded
 //     wait), validates magic/version/geometry against the mapped size, and
 //     fetch_add's consumer_attached;
@@ -59,12 +60,12 @@
 namespace tesla::ipc {
 
 inline constexpr char kShmMagic[8] = {'T', 'S', 'L', 'A', 'S', 'H', 'M', '1'};
-inline constexpr uint32_t kShmVersion = 1;
+// v2: the plan region replaces v1's header options, origin and manifest.
+inline constexpr uint32_t kShmVersion = 2;
 inline constexpr uint32_t kShmMaxLanes = 64;
-inline constexpr size_t kShmOriginBytes = 120;
 
 enum class ShmState : uint32_t {
-  kInitialising = 0,  // creator is still writing geometry/symbols/manifest
+  kInitialising = 0,  // creator is still writing geometry/symbols/plan
   kLive = 1,          // publisher accepting events
   kClosed = 2,        // clean shutdown: drain to empty, then detach
 };
@@ -76,15 +77,8 @@ struct ShmHeader {
   uint32_t lane_count = 0;
   uint64_t lane_words = 0;  // per lane, power of two
   uint64_t symtab_bytes = 0;
-  uint64_t manifest_bytes = 0;
+  uint64_t plan_bytes = 0;
   uint32_t symbol_count = 0;  // interner generation: spellings serialised
-  // The semantics-bearing runtime options, in trace::CaptureOptions'
-  // encoding (the same fields as a capture's options section).
-  uint8_t opt_flags = 0;
-  uint8_t pad_[3] = {};
-  uint64_t instances_per_context = 0;
-  uint64_t global_shards = 0;
-  char origin[kShmOriginBytes] = {};  // NUL-terminated
 
   // --- live coordination ---
   std::atomic<uint32_t> state{0};         // ShmState
@@ -107,7 +101,7 @@ class ShmSegment {
     uint32_t lane_count = 1;
     uint64_t lane_words = 1 << 16;  // rounded up to a power of two by Create
     size_t symtab_bytes = 0;
-    size_t manifest_bytes = 0;
+    size_t plan_bytes = 0;
   };
 
   ~ShmSegment();
@@ -116,7 +110,7 @@ class ShmSegment {
   ShmSegment& operator=(const ShmSegment&) = delete;
 
   // Creates and maps a fresh segment (state = kInitialising, header geometry
-  // filled in). The caller writes symbols/manifest/options, then publishes
+  // filled in). The caller writes the symbols and the plan, then publishes
   // with header().state.store(kLive, release). Fails (kErrUnreadable-coded
   // errors) on OS-level shm failures, including a leftover segment of the
   // same name.
@@ -145,8 +139,8 @@ class ShmSegment {
   const ShmHeader& header() const { return *header_; }
   uint8_t* symtab() { return base_ + symtab_offset_; }
   const uint8_t* symtab() const { return base_ + symtab_offset_; }
-  uint8_t* manifest() { return base_ + manifest_offset_; }
-  const uint8_t* manifest() const { return base_ + manifest_offset_; }
+  uint8_t* plan() { return base_ + plan_offset_; }
+  const uint8_t* plan() const { return base_ + plan_offset_; }
   // `lane`'s mapped control block, and a ring view of it and the lane's
   // words (lane < geometry().lane_count).
   queue::RingControl* lane_control(uint32_t lane);
@@ -164,7 +158,7 @@ class ShmSegment {
   ShmHeader* header_ = nullptr;
   Geometry geometry_;
   size_t symtab_offset_ = 0;
-  size_t manifest_offset_ = 0;
+  size_t plan_offset_ = 0;
   size_t lanes_offset_ = 0;  // RingControl array
   size_t words_offset_ = 0;  // lane word arrays
   bool owner_ = false;

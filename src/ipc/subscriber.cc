@@ -2,9 +2,9 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <span>
 #include <thread>
+#include <utility>
 
 #include <signal.h>
 #include <unistd.h>
@@ -62,16 +62,15 @@ Result<std::unique_ptr<ShmSubscriber>> ShmSubscriber::Attach(const std::string& 
     return Error{"shm segment '" + segment->name() + "': " + what, 0, 0, trace::kErrCorrupt};
   };
 
-  Result<trace::CaptureOptions> options = trace::CaptureOptions::Decode(
-      header.opt_flags, header.instances_per_context, header.global_shards);
-  if (!options.ok()) {
-    return corrupt(options.error().message);
+  // The plan and the symbol table decode through the same hardened cursor
+  // the capture reader uses — the segment was written by another process
+  // and is as untrusted as a file.
+  Result<trace::Plan> plan = trace::Plan::Decode(segment->plan(), geometry.plan_bytes);
+  if (!plan.ok()) {
+    return corrupt(plan.error().message);
   }
-  subscriber->info_.options = options.value();
+  static_cast<trace::Plan&>(subscriber->info_) = std::move(plan.value());
 
-  // Decode the symbol table through the same hardened cursor the capture
-  // reader uses — the segment was written by another process and is as
-  // untrusted as a file.
   trace::Cursor cursor{segment->symtab(), geometry.symtab_bytes};
   uint64_t symbol_count = 0;
   cursor.Varint(&symbol_count);
@@ -91,10 +90,6 @@ Result<std::unique_ptr<ShmSubscriber>> ShmSubscriber::Attach(const std::string& 
     subscriber->spellings_.push_back(std::move(spelling));
   }
 
-  subscriber->info_.origin = std::string(
-      header.origin, strnlen(header.origin, kShmOriginBytes));
-  subscriber->info_.manifest_text.assign(
-      reinterpret_cast<const char*>(segment->manifest()), geometry.manifest_bytes);
   subscriber->info_.lane_count = geometry.lane_count;
   subscriber->info_.symbol_count = static_cast<uint32_t>(symbol_count);
   subscriber->info_.producer_pid = header.producer_pid.load(std::memory_order_relaxed);
@@ -109,7 +104,7 @@ Result<std::unique_ptr<ShmSubscriber>> ShmSubscriber::Attach(const std::string& 
 }
 
 runtime::RuntimeOptions ShmSubscriber::PublisherRuntimeOptions() const {
-  return info_.options.ToRuntimeOptions();
+  return info_.ToRuntimeOptions();
 }
 
 void ShmSubscriber::InternSymbols() {
@@ -125,6 +120,7 @@ void ShmSubscriber::InternSymbols() {
 
 size_t ShmSubscriber::PollLane(uint32_t lane, std::vector<runtime::Event>& out,
                                size_t max) {
+  const uint64_t slip = producer_dead_ || closed() ? 0 : kSlipWords;
   return lanes_[lane].Pop(max, [this, &out](queue::RingWindow& window) {
     runtime::Event event;
     if (!queue::DecodeEvent(window, &event)) {
@@ -140,7 +136,7 @@ size_t ShmSubscriber::PollLane(uint32_t lane, std::vector<runtime::Event>& out,
     }
     out.push_back(event);
     return true;
-  });
+  }, slip);
 }
 
 bool ShmSubscriber::closed() const {
@@ -149,6 +145,9 @@ bool ShmSubscriber::closed() const {
 }
 
 bool ShmSubscriber::ProducerDead() const {
+  if (producer_dead_) {
+    return true;
+  }
   if (closed()) {
     return false;
   }
@@ -156,7 +155,8 @@ bool ShmSubscriber::ProducerDead() const {
   if (pid <= 0) {
     return false;
   }
-  return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
+  producer_dead_ = ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
+  return producer_dead_;
 }
 
 uint64_t ShmSubscriber::dropped() const {
@@ -209,17 +209,18 @@ DrainReport DrainAll(ShmSubscriber& subscriber, runtime::Runtime& rt,
       idle_sweeps = 0;
       continue;
     }
-    if (was_closed || report.corrupt_lanes == lanes) {
+    if (was_closed || report.producer_died || report.corrupt_lanes == lanes) {
       break;  // dry, or nothing left that can ever yield
     }
     // Throttled death check: a publisher that crashed never sets kClosed.
+    // It may have published after the empty sweep above, and that sweep's
+    // polls hold back records behind a moving head. Once ProducerDead() is
+    // seen, polls drain every lane to the end and no head moves again, so
+    // the sweeps that follow salvage everything and the next empty one
+    // proves the lanes dry.
     if (++idle_sweeps % 64 == 0 && subscriber.ProducerDead()) {
       report.producer_died = true;
-      // The pid check races the final publishes only if the producer died
-      // mid-push, and a dead producer publishes nothing more — one last
-      // sweep below the loop would see an already-consistent lane, and the
-      // sweep we just completed was empty. Salvage is complete.
-      break;
+      continue;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }

@@ -7,9 +7,11 @@
 //   * the publisher's symbol table — InternSymbols() interns every spelling
 //     into *this* process's interner and builds the id remap, so the
 //     sidecar's dispatch plan routes the publisher's symbols;
-//   * the embedded manifest text and origin — the assertion set to register;
-//   * the semantics-bearing runtime options — so the sidecar's Runtime
-//     reproduces the publisher's configuration.
+//   * the publisher's trace::Plan — the embedded manifest text and origin
+//     (the assertion set to register), the semantics-bearing runtime
+//     options and the plan inputs (index_min_population, plan hints) — so
+//     the sidecar's Runtime reproduces the publisher's configuration and
+//     routes every dispatch (index probe or scan) as the publisher's would.
 //
 // Call order matters: InternSymbols() must run before the sidecar's
 // Runtime::Register(), which freezes the interner — a symbol interned after
@@ -35,11 +37,9 @@
 
 namespace tesla::ipc {
 
-// Everything the segment header + regions describe about the publisher.
-struct ShmInfo {
-  std::string origin;
-  std::string manifest_text;          // empty if the publisher embedded none
-  trace::CaptureOptions options;      // semantics-bearing runtime options
+// Everything the segment header + regions describe about the publisher: its
+// plan (the plan region) and the stream's geometry.
+struct ShmInfo : trace::Plan {
   uint32_t lane_count = 0;
   uint32_t symbol_count = 0;
   int32_t producer_pid = 0;
@@ -60,24 +60,38 @@ class ShmSubscriber {
   // to appear and reach kLive (0: a single immediate attempt) — publishers
   // and sidecars race at startup by design. Errors carry trace::ErrorCode
   // values: kErrUnreadable when the name never appears, kErrCorrupt /
-  // kErrVersionMismatch from validating the geometry, options (the
-  // trace::CaptureOptions decoder) or symbol table.
+  // kErrVersionMismatch from validating the geometry, the plan region
+  // (trace::Plan::Decode) or the symbol table.
   static Result<std::unique_ptr<ShmSubscriber>> Attach(const std::string& name,
                                                        int timeout_ms = 0);
 
   const ShmInfo& info() const { return info_; }
 
-  // RuntimeOptions reproducing the publisher's semantics (plus whatever the
-  // caller layers on top — metrics, tracing).
+  // RuntimeOptions reproducing the publisher's semantics and plan
+  // (trace::Plan::ToRuntimeOptions), so the sidecar routes every dispatch as
+  // the publisher would (plus whatever the caller layers on top — metrics,
+  // tracing).
   runtime::RuntimeOptions PublisherRuntimeOptions() const;
 
   // Interns every publisher symbol into this process's interner and builds
   // the id remap applied by PollLane(). Must precede Runtime::Register().
   void InternSymbols();
 
+  // How far a polling sidecar trails a producer that is still publishing,
+  // in lane words. A sidecar that reads the lane right behind the producer
+  // makes the producer pay: on bench_e2e's oltp_shm (4-vCPU KVM guest) the
+  // producer's ns_per_event read ~42 at slip 0, 42-45 when only whole 8-,
+  // 16- or 32-word blocks were taken, 32 at slip 32, 22 at 64, 21 at 128
+  // and 22 at 256. 128 is twice the smallest slip that removes the cost.
+  static constexpr uint64_t kSlipWords = 128;
+
   // Drains up to `max` events from `lane` into `out` (appended), with
-  // publisher symbol ids rewritten to this process's. Returns the number
-  // appended. Site events' targets are automaton ids, not symbols, and pass
+  // publisher symbol ids rewritten to this process's. While the producer
+  // is live, records within kSlipWords of a head that moved since the
+  // previous poll wait for a later poll (EventRing::Pop's slip); once the
+  // segment is closed or ProducerDead() has seen the producer gone, every
+  // published record is final and the lane drains to the end. Returns the
+  // number appended. Site events' targets are automaton ids, not symbols, and pass
   // through untouched — manifest registration order preserves them. A lane
   // that failed a decoder check (queue/ring.h) yields nothing.
   size_t PollLane(uint32_t lane, std::vector<runtime::Event>& out, size_t max);
@@ -109,6 +123,7 @@ class ShmSubscriber {
   bool interned_ = false;
   std::vector<queue::EventRing> lanes_;
   uint64_t unknown_symbols_ = 0;
+  mutable bool producer_dead_ = false;  // latched by ProducerDead()
 };
 
 // Drains every lane through `rt` until the publisher closes the segment (all

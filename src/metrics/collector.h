@@ -29,12 +29,11 @@
 // time; see Runtime::CompilePlan().
 //
 // Late registration: a shard sizes its block for the classes known when it
-// was created. If automata are registered afterwards, the runtime
-// re-registers the context's shard (the stale block stays behind and is
-// still merged); the runtime cells and the dispatch record (route,
-// dispatches, fan-out, sub-route) of events racing the transition go to a
-// central, lock-guarded spill block. The partial-binding tallies, sketches,
-// latency samples and deadline cells are not recorded on that cold path.
+// was created. If automata are registered afterwards, the runtime's
+// Register() re-registers every live context's shard before any event can
+// dispatch (the stale block stays behind and is still merged), so every
+// dispatch-side record lands in a shard. Only violations, reported outside
+// any context, go to the central, lock-guarded spill block.
 #ifndef TESLA_METRICS_COLLECTOR_H_
 #define TESLA_METRICS_COLLECTOR_H_
 
@@ -98,9 +97,9 @@ class alignas(64) Shard {
   bool profiling() const { return profiling_; }
 
   // The class's word block. The caller must ensure class_id <
-  // class_capacity() (see Collector::Spill otherwise) and writes
-  // base-relative, so the compiler is not forced to reload `cells_` after
-  // every store.
+  // class_capacity() (the runtime's Register() swaps in a larger shard for
+  // any context whose shard predates a class) and writes base-relative, so
+  // the compiler is not forced to reload `cells_` after every store.
   std::atomic<uint64_t>* ClassCells(uint32_t class_id) {
     return cells_.get() + class_id * stride_;
   }
@@ -213,9 +212,8 @@ class Collector {
   }
   size_t coverage_bits() const { return coverage_bits_; }
 
-  // Cold-path record for writers without a (large-enough) shard: violations
-  // reported outside any context, and events racing a late Register().
-  // Combines per the cell's merge rule.
+  // Cold-path record for writers without a shard: violations, reported
+  // outside any context. Combines per the cell's merge rule.
   void Spill(uint32_t class_id, Cell cell, uint64_t amount = 1);
 
   // Combines every shard's and the spill block's words for classes

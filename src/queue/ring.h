@@ -200,9 +200,13 @@ class EventRing {
   }
 
   // Mapped storage the ring borrows: `capacity_words` is a power of two and
-  // both regions outlive the ring.
+  // both regions outlive the ring. Records already published when the view
+  // is made count as settled for Pop's slip.
   EventRing(RingControl* control, std::atomic<uint64_t>* words, uint64_t capacity_words)
-      : control_(control), words_(words), mask_(capacity_words - 1) {}
+      : control_(control),
+        words_(words),
+        mask_(capacity_words - 1),
+        seen_head_(control->head.load(std::memory_order_acquire)) {}
 
   // In words, not events.
   size_t capacity() const { return static_cast<size_t>(mask_ + 1); }
@@ -241,27 +245,47 @@ class EventRing {
   // frees the consumed words. `decode` reads exactly one record off the
   // window and returns false when it fails a check, which latches the ring
   // corrupt. Returns the number of records taken.
+  //
+  // `slip_words` != 0 keeps the consumer that many words behind a producer
+  // that is still publishing: if the head moved since the previous Pop,
+  // records starting within `slip_words` of the head's cache line stay for
+  // a later call. A head that has not moved since the previous Pop (the
+  // producer paused, finished or died) is drained to the end.
   template <typename Decode>
-  size_t Pop(size_t max, Decode&& decode) {
+  size_t Pop(size_t max, Decode&& decode, uint64_t slip_words = 0) {
     if (corrupt_) {
       return 0;
     }
     RingControl& ctl = *control_;
     const uint64_t tail = ctl.tail.load(std::memory_order_relaxed);
-    if (ctl.cached_head == tail) {
+    uint64_t limit = ~uint64_t{0};  // no record starting here or past it is taken
+    if (slip_words != 0) {
+      // Telling a moving producer from a paused one needs a fresh head on
+      // every call.
       ctl.cached_head = ctl.head.load(std::memory_order_acquire);
-      if (ctl.cached_head == tail) {
-        return 0;
+      if (ctl.cached_head != seen_head_) {
+        seen_head_ = ctl.cached_head;
+        const uint64_t line = ctl.cached_head & ~uint64_t{7};
+        limit = line > tail + slip_words ? line - slip_words : tail;
       }
+    } else if (ctl.cached_head == tail) {
+      ctl.cached_head = ctl.head.load(std::memory_order_acquire);
     }
+    if (ctl.cached_head == tail) {
+      return 0;
+    }
+    // Checked before the slip, so a hostile head latches on every path.
     RingWindow window{words_, mask_, tail, ctl.cached_head};
     if (window.left() > mask_ + 1) {
       corrupt_ = true;  // head behind the tail, or past a full ring
       return 0;
     }
+    if (limit == tail) {
+      return 0;
+    }
     size_t popped = 0;
     uint64_t consumed = tail;  // end of the last good record
-    while (window.left() != 0 && popped < max) {
+    while (window.left() != 0 && popped < max && window.pos < limit) {
       if (!decode(window)) {
         corrupt_ = true;
         break;
@@ -283,6 +307,7 @@ class EventRing {
   std::atomic<uint64_t>* words_;
   uint64_t mask_;
   bool corrupt_ = false;
+  uint64_t seen_head_ = 0;  // the head the previous slipping Pop saw
   std::unique_ptr<RingControl> owned_control_;
   std::unique_ptr<std::atomic<uint64_t>[]> owned_words_;
 };

@@ -193,8 +193,7 @@ ThreadContext::~ThreadContext() {
 
 bool ThreadContext::InCallStack(Symbol function) const {
   const int32_t slot = runtime_.StackSlotFor(function);
-  return slot >= 0 && static_cast<size_t>(slot) < stack_depth_.size() &&
-         stack_depth_[slot] > 0;
+  return slot >= 0 && stack_depth_[slot] > 0;
 }
 
 // --- Runtime ---
@@ -268,6 +267,10 @@ void Runtime::UnregisterContext(ThreadContext* ctx) {
 Runtime::~Runtime() = default;
 
 Status Runtime::Register(const automata::Manifest& manifest) {
+  // Every automaton compiles before any is adopted: a manifest that fails
+  // part-way leaves classes_ matching the plan live contexts are sized to.
+  std::vector<CompiledClass> compiled;
+  compiled.reserve(manifest.automata.size());
   for (const automata::Automaton& source : manifest.automata) {
     if (source.variables.size() > kMaxVariables) {
       return Error{"automaton '" + source.name + "' uses " +
@@ -302,8 +305,7 @@ Status Runtime::Register(const automata::Manifest& manifest) {
       return Error{"automaton '" + source.name + "' has a malformed DFA"};
     }
 
-    uint32_t id = static_cast<uint32_t>(classes_.size());
-    cls.id = id;
+    cls.id = static_cast<uint32_t>(classes_.size() + compiled.size());
     for (uint16_t symbol = 0; symbol < cls.automaton.alphabet.size(); symbol++) {
       if (symbol == cls.automaton.init_symbol || symbol == cls.automaton.cleanup_symbol) {
         continue;
@@ -312,7 +314,10 @@ Status Runtime::Register(const automata::Manifest& manifest) {
         cls.site_variants.push_back(symbol);
       }
     }
-    by_name_.emplace(cls.automaton.name, id);
+    compiled.push_back(std::move(cls));
+  }
+  for (CompiledClass& cls : compiled) {
+    by_name_.emplace(cls.automaton.name, cls.id);
     classes_.push_back(std::move(cls));
   }
 
@@ -334,6 +339,15 @@ Status Runtime::Register(const automata::Manifest& manifest) {
       shard->context = std::make_unique<ThreadContext>(*this);
     }
     shards_.push_back(std::move(shard));
+  }
+
+  // Contexts created before this Register() predate the plan: size them
+  // now, once, so dispatch never has to (see the contract in runtime.h).
+  // The fresh shard contexts above are already sized; for them, and for
+  // every context on a first Register(), this is a few compares.
+  LockGuard<Spinlock> guard(contexts_lock_);
+  for (ThreadContext* ctx : live_contexts_) {
+    SizeContext(*ctx);
   }
   return Status::Ok();
 }
@@ -647,7 +661,7 @@ void Runtime::CompilePlan() {
   }
 }
 
-void Runtime::EnsurePlanCapacity(ThreadContext& ctx) {
+void Runtime::SizeContext(ThreadContext& ctx) {
   if (ctx.classes_.size() < classes_.size()) {
     ctx.classes_.resize(classes_.size());
   }
@@ -661,7 +675,8 @@ void Runtime::EnsurePlanCapacity(ThreadContext& ctx) {
     ctx.stack_depth_.resize(stack_slot_count_, 0);
   }
   // A Register() after this context was created: swap in a shard sized for
-  // the new classes (the stale block stays behind and is still merged).
+  // the new classes (the stale block stays behind and is still merged;
+  // Register() runs before the new classes can record anything).
   if (ctx.obs_ != nullptr && ctx.obs_->class_capacity() < classes_.size()) {
     ctx.obs_ = collector_->RegisterShard();
   }
@@ -891,23 +906,6 @@ void Runtime::ProfileDispatch(std::atomic<uint64_t>* base, const CompiledClass& 
   }
 }
 
-void Runtime::SpillDispatch(const metrics::Shard& shard, uint32_t class_id,
-                            uint64_t population, metrics::Cell route) {
-  using metrics::Cell;
-  if (route != Cell::dispatches) {
-    collector_->Spill(class_id, StoredRoute(route));
-  }
-  if (!shard.profiling()) {
-    return;
-  }
-  collector_->Spill(class_id, Cell::dispatches);
-  collector_->Spill(class_id, Cell::fanout_sum, population);
-  collector_->Spill(class_id, Cell::fanout_peak, population);
-  if (route == Cell::small_population || route == Cell::partial_bound) {
-    collector_->Spill(class_id, route);
-  }
-}
-
 void Runtime::NoteGatedScan(uint32_t class_id) {
   if (gate_scans_ == nullptr || class_id >= gate_scan_count_) {
     return;
@@ -945,10 +943,6 @@ void Runtime::AugmentSnapshot(metrics::Snapshot& snapshot) const {
   }
 }
 
-void Runtime::GrowClassStates(ThreadContext& storage) {
-  storage.classes_.resize(classes_.size());
-}
-
 // --- the unified event entry point ---
 
 // Always inlined into its three entry points, so each gets the loop
@@ -960,12 +954,6 @@ void Runtime::GrowClassStates(ThreadContext& storage) {
                                                      const DispatchScope* scope) {
   if (events.empty()) {
     return;
-  }
-  if (scope == nullptr || scope->context) {
-    // Only the context stage may grow the producer's context: the plan is
-    // frozen before consumers run, so this is a no-op in steady state, and
-    // the shard stage must not write another consumer's home context.
-    EnsurePlanCapacity(ctx);
   }
   ScopeFrame frame(*this, scope);
   // The per-call facts: fixed for the whole call, so every event's
@@ -1411,10 +1399,7 @@ void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
     storage.store_.Free(slot);
   }
   state.instances.clear();
-  state.index.Clear();
-  state.unkeyed.clear();
-  state.index2.Clear();
-  state.tail2.clear();
+  DropIndex(state);
 
   uint32_t wildcard = storage.store_.Allocate();
   if (wildcard == kNoSlot) {
@@ -1492,10 +1477,7 @@ void Runtime::CleanupClass(ThreadContext& ctx, uint32_t class_id) {
     storage.store_.Free(slot);
   }
   state.instances.clear();
-  state.index.Clear();
-  state.unkeyed.clear();
-  state.index2.Clear();
-  state.tail2.clear();
+  DropIndex(state);
   state.active = false;
   if (cls.timed) [[unlikely]] {
     // The bound closed: every clause is settled. Armed deadlines cancel
@@ -1588,7 +1570,7 @@ void Runtime::FireExpired(ThreadContext& storage, uint64_t now_ns) {
     const CompiledClass& cls = classes_[entry.class_id];
     const automata::TimedSpec& spec = cls.automaton.timed[entry.spec];
     Bump(storage.stats_.deadline_expiries);
-    if (metrics::Shard* shard = ProfileShard(storage, entry.class_id)) {
+    if (metrics::Shard* shard = ProfileShard(storage)) {
       shard->Add(entry.class_id, metrics::Cell::deadline_expiries);
     }
     // Highlight the states still inside the timed region — where the
@@ -1633,7 +1615,7 @@ void Runtime::TimedObserve(ThreadContext& storage, const CompiledClass& cls,
         cell.serial++;
         cell.deadline_ns = now + spec.bound_ns;
         Bump(storage.stats_.deadline_arms);
-        if (metrics::Shard* shard = ProfileShard(storage, cls.id)) {
+        if (metrics::Shard* shard = ProfileShard(storage)) {
           shard->Add(cls.id, metrics::Cell::deadline_arms);
         }
         if (storage.wheel_ == nullptr) {
@@ -1844,10 +1826,11 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
     if (state.instances.size() < cls.min_population) {
       // Below the crossover population, hashing the key tuple costs more
       // than walking the handful of live instances (BENCH_instances.json);
-      // fall through to the scan. The index stays coherent — IndexInstance
-      // still files every clone — so the probe path is valid again the
-      // moment the population grows past the threshold. Per-class since
-      // plan hints can override the knob (min_population=0 probes always).
+      // fall through to the scan. The index is not even built yet: it is
+      // built the moment the population reaches the gate (IndexInstance),
+      // so the probe path is valid exactly when this test lets it run.
+      // Per-class since plan hints can override the knob (min_population=0
+      // probes always).
       Bump(storage.stats_.index_scans);
       route = metrics::Cell::small_population;
     } else {
@@ -1865,7 +1848,7 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
       } else {
         // An event binding a strict subset (or superset) of the key
         // variables cannot be answered by one bucket; fall back to the
-        // scan. The index stays coherent because clone insertion goes
+        // scan. The index stays coherent because the scan's clones go
         // through IndexInstance.
         Bump(storage.stats_.index_scans);
         route = metrics::Cell::partial_bound;
@@ -1889,8 +1872,7 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
   // 1-in-64 sampled dispatch latency (profiling only): two clock reads
   // amortised to well under a nanosecond per event, keeping the profiler
   // inside its ≤5 ns/event budget (BENCH_profile.json gates it).
-  if (!shard->profiling() || class_id >= shard->class_capacity() ||
-      (shard->NextTick() & 63) != 0) [[likely]] {
+  if (!shard->profiling() || (shard->NextTick() & 63) != 0) [[likely]] {
     return run();
   }
   const uint64_t start = NowNs();
@@ -2010,8 +1992,9 @@ bool Runtime::DispatchIndexed(ThreadContext& storage, const CompiledClass& cls,
 }
 
 // Naive scan (the seed's algorithm, now over SoA slots): used when the index
-// is disabled, the class binds no variables, or the event's bindings do not
-// cover the key tuple. Keeps the index coherent for later fast-path events.
+// is disabled, the class binds no variables, the population is below the
+// index gate, or the event's bindings do not cover the key tuple. Keeps the
+// index coherent (or builds it at the gate) for later fast-path events.
 bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                            const BindingSet& bindings, std::span<const uint16_t> symbols) {
   if (bindings.count == 0 && handlers_.empty()) {
@@ -2106,6 +2089,24 @@ void Runtime::IndexInstance(ThreadContext& storage, const CompiledClass& cls,
   if (!options_.instance_index || cls.key_mask == 0) {
     return;  // classes without key variables use the flat list only
   }
+  if (state.indexed) {
+    FileSlot(storage, cls, state, slot);
+    return;
+  }
+  if (state.instances.size() < cls.min_population) {
+    return;  // below the gate every dispatch scans: nothing reads the index
+  }
+  // The population just reached the gate: build the index from the whole
+  // population in creation order, so every bucket chain (newest first) and
+  // tail comes out as eager filing would have left it.
+  state.indexed = true;
+  for (uint32_t live : state.instances) {
+    FileSlot(storage, cls, state, live);
+  }
+}
+
+void Runtime::FileSlot(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
+                       uint32_t slot) {
   if ((storage.store_.bound_mask(slot) & cls.key_mask) != cls.key_mask) {
     state.unkeyed.push_back(slot);  // wildcard / partially bound: linear tail
   } else {
@@ -2129,6 +2130,17 @@ void Runtime::IndexInstance(ThreadContext& storage, const CompiledClass& cls,
   if (cls.prefix_pos != CompiledClass::kNoPrefix) {
     IndexSecondary(storage, cls, state, slot);
   }
+}
+
+void Runtime::DropIndex(ClassState& state) {
+  if (!state.indexed) {
+    return;
+  }
+  state.indexed = false;
+  state.index.Clear();
+  state.unkeyed.clear();
+  state.index2.Clear();
+  state.tail2.clear();
 }
 
 void Runtime::IndexSecondary(ThreadContext& storage, const CompiledClass& cls,

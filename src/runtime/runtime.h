@@ -110,8 +110,17 @@ struct TimedCell {
 // keyed buckets (all key variables bound; chained through the store's
 // next() links) and the short unkeyed tail (the (∗) wildcard and partial
 // bindings — the only possible clone parents on the indexed fast path).
+//
+// The index is built lazily (IndexInstance): nothing is filed until the
+// population reaches the class's index gate (CompiledClass::min_population),
+// which is exactly when the route decision starts probing. `indexed` says the
+// index structures below are built and coherent; while it is false they are
+// all empty. The population only grows within one activation, so once built
+// the index stays built until ActivateClass/CleanupClass replace the
+// population wholesale.
 struct ClassState {
   bool active = false;
+  bool indexed = false;
   uint64_t epoch = 0;  // bound epoch at activation (lazy-init bookkeeping)
   std::vector<uint32_t> instances;
   KeyIndex index;
@@ -201,9 +210,18 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   // Compiles and registers every automaton in `manifest`, then (re)compiles
-  // the dispatch plan. Must be called before ThreadContexts are created.
-  // Fails on automata with more than kMaxVariables variables or malformed
-  // bounds.
+  // the dispatch plan. Fails on automata with more than kMaxVariables
+  // variables or malformed bounds; a failed call registers none of
+  // `manifest`'s automata.
+  //
+  // Contract: no Register() concurrent with dispatch. Register() rebuilds
+  // the class table, the plan vectors and the global shard contexts, so no
+  // thread may be inside OnEvent/OnEvents/OnEventsScoped (nor may an event
+  // queue or shm sidecar be draining into this runtime) while it runs.
+  // Registering again after ThreadContexts exist is legal: Register() sizes
+  // every live context to the new plan (class states, bound epochs, cleanup
+  // lists, tracked-stack depths, and an observability shard with room for
+  // the new classes), so dispatch itself never checks plan capacity.
   Status Register(const automata::Manifest& manifest);
 
   // Looks up a registered automaton by name; returns -1 if absent.
@@ -247,11 +265,11 @@ class Runtime {
   // through OnEvent — events are counted one at a time, into the same
   // per-context cells, so a violation handler reading stats() mid-batch
   // sees exactly what OnEvent would show — but amortises the per-call
-  // overheads: plan-capacity checks run once, and when global automata are
-  // registered every shard is claimed once for the whole batch instead of
-  // once per event (nested per-event acquisitions are elided via the
-  // batch-owner check). The batch entry points do not consult the ingest
-  // hook or stamp events (an unstamped event reads the clock at dispatch):
+  // overhead: when global automata are registered every shard is claimed
+  // once for the whole batch instead of once per event (nested per-event
+  // acquisitions are elided via the batch-owner check). The batch entry
+  // points do not consult the ingest hook or stamp events (an unstamped
+  // event reads the clock at dispatch):
   // they are the drain side's entry — the replay path, the event queue's
   // consumers and the shm sidecar feed them.
   void OnEvents(ThreadContext& ctx, std::span<const Event> events);
@@ -539,24 +557,19 @@ class Runtime {
   // Recompiles the flat dispatch plan from classes_ (idempotent; run after
   // every Register() so repeated registration stays legal).
   void CompilePlan();
-  // Grows `ctx`'s slot-indexed vectors to the current plan's extents. Only
-  // does work when Register() ran after the context was created.
-  void EnsurePlanCapacity(ThreadContext& ctx);
+  // Grows `ctx`'s slot-indexed vectors (and, when too small, its
+  // observability shard) to the current plan's extents. Register() runs it
+  // over every live context, so a context created before a later Register()
+  // is sized before any event can reach it.
+  void SizeContext(ThreadContext& ctx);
 
   ThreadContext& ContextFor(ThreadContext& ctx, uint32_t class_id) {
     const CompiledClass& cls = classes_[class_id];
     return cls.is_global ? *shards_[cls.shard]->context : ctx;
   }
-  // Inline (it sits on every event's dispatch path, usually twice); the grow
-  // branch only fires for a context created before a later Register().
   ClassState& StateFor(ThreadContext& ctx, uint32_t class_id) {
-    ThreadContext& storage = ContextFor(ctx, class_id);
-    if (storage.classes_.size() <= class_id) [[unlikely]] {
-      GrowClassStates(storage);
-    }
-    return storage.classes_[class_id];
+    return ContextFor(ctx, class_id).classes_[class_id];
   }
-  void GrowClassStates(ThreadContext& storage);
   int32_t StackSlotFor(Symbol function) const {
     const uint64_t key = CallKey(function);
     return key < function_plan_.size() ? function_plan_[key].stack_slot : -1;
@@ -679,15 +692,24 @@ class Runtime {
   bool DispatchPrefix(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                       const BindingSet& bindings, std::span<const uint16_t> symbols);
 
-  // Files a freshly created slot under the class's index partition (keyed
-  // bucket or unkeyed tail). `instances` membership is the caller's job.
+  // Called after a freshly created slot was appended to `instances`. With
+  // the index built, files the slot under the class's index partition
+  // (keyed bucket or unkeyed tail, plus the prefix index for hinted
+  // classes). Before that, files nothing until the population reaches the
+  // class's gate, then builds the whole index from `instances` (FileSlot in
+  // creation order — the same chains eager filing would have made).
   void IndexInstance(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                      uint32_t slot);
+  void FileSlot(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
+                uint32_t slot);
   // Files a slot under the class's secondary prefix-index partition (prefix
   // bucket through next2(), or the prefix-unbound tail2). Only called for
   // classes with a prefix hint (cls.prefix_pos != kNoPrefix).
   void IndexSecondary(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                       uint32_t slot);
+  // Empties the index structures of a built index (activation and cleanup
+  // replace the population wholesale); a no-op while the index is unbuilt.
+  static void DropIndex(ClassState& state);
 
   // Steps a stored instance (slot form) or a stack-built clone candidate.
   // `storage` is the context owning (or about to own) the instance — the
@@ -735,32 +757,21 @@ class Runtime {
   }
 
   // Records one runtime cell (metrics view) for `class_id` through
-  // `storage`'s shard. One null check when observability is off; the spill
-  // path only runs for events racing a late Register() (the shard predates
-  // the class).
+  // `storage`'s shard. One null check when observability is off. Every
+  // shard has room for every registered class: Register() sizes them
+  // (SizeContext), so no dispatch-side cell needs a spill path.
   void BumpClass(ThreadContext& storage, uint32_t class_id, metrics::Cell cell,
                  uint64_t amount = 1) {
     metrics::Shard* shard = storage.obs_;
-    if (shard == nullptr || !shard->counting()) {
-      return;
-    }
-    if (class_id < shard->class_capacity()) [[likely]] {
+    if (shard != nullptr && shard->counting()) {
       shard->Add(class_id, cell, amount);
-    } else {
-      collector_->Spill(class_id, cell, amount);
     }
   }
 
-  // `storage`'s shard if profiling is on and the shard can record
-  // `class_id`, else null. Only the dispatch record spills cells racing a
-  // late Register() (SpillDispatch); the deadline cells recorded through
-  // this are dropped on that cold path.
-  metrics::Shard* ProfileShard(ThreadContext& storage, uint32_t class_id) {
+  // `storage`'s shard if profiling is on, else null.
+  metrics::Shard* ProfileShard(ThreadContext& storage) {
     metrics::Shard* shard = storage.obs_;
-    if (shard == nullptr || !shard->profiling() || class_id >= shard->class_capacity()) {
-      return nullptr;
-    }
-    return shard;
+    return shard != nullptr && shard->profiling() ? shard : nullptr;
   }
 
   // Records one dispatch decision through `shard` (DispatchToInstances and
@@ -773,10 +784,6 @@ class Runtime {
   // line and runs only with profiling on.
   void RecordDispatch(metrics::Shard& shard, const CompiledClass& cls, const ClassState& state,
                       const BindingSet& bindings, metrics::Cell route) {
-    if (cls.id >= shard.class_capacity()) [[unlikely]] {
-      SpillDispatch(shard, cls.id, state.instances.size(), route);
-      return;
-    }
     std::atomic<uint64_t>* base = shard.ClassCells(cls.id);
     if (route != metrics::Cell::dispatches) {
       metrics::Shard::AddAt(base, StoredRoute(route));
@@ -795,12 +802,6 @@ class Runtime {
   void ProfileDispatch(std::atomic<uint64_t>* base, const CompiledClass& cls,
                        const ClassState& state, const BindingSet& bindings,
                        metrics::Cell route);
-  // A dispatch racing a late Register() (the shard predates the class):
-  // the route, and with profiling on the dispatch, fan-out and sub-route
-  // cells, go to the collector's spill block; sketches and partial-binding
-  // tallies have no spill form and are dropped.
-  void SpillDispatch(const metrics::Shard& shard, uint32_t class_id, uint64_t population,
-                     metrics::Cell route);
 
   // --- timed clauses (within_ms / rate) ---
 

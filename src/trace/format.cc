@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "support/intern.h"
 #include "trace/wire.h"
@@ -12,16 +13,6 @@ namespace tesla::trace {
 CaptureOptions CaptureOptions::Of(const runtime::RuntimeOptions& options) {
   return {options.lazy_init, options.use_dfa, options.instance_index,
           options.instances_per_context, options.global_shards};
-}
-
-runtime::RuntimeOptions CaptureOptions::ToRuntimeOptions() const {
-  runtime::RuntimeOptions options;
-  options.lazy_init = lazy_init;
-  options.use_dfa = use_dfa;
-  options.instance_index = instance_index;
-  options.instances_per_context = static_cast<size_t>(instances_per_context);
-  options.global_shards = static_cast<size_t>(global_shards);
-  return options;
 }
 
 uint8_t CaptureOptions::flags() const {
@@ -148,26 +139,26 @@ Status GetRecords(Cursor& in, std::vector<TraceRecord>& records) {
   return Status::Ok();
 }
 
-void PutPlan(std::vector<uint8_t>& out, const TraceFile& file) {
-  PutString(out, file.origin);
-  out.push_back(file.options.flags());
-  PutVarint(out, file.options.instances_per_context);
-  PutVarint(out, file.options.global_shards);
-  PutVarint(out, file.index_min_population);
-  PutString(out, file.manifest_text);
-  PutString(out, profile::HintsToText(file.plan_hints));
+void PutPlan(std::vector<uint8_t>& out, const Plan& plan) {
+  PutString(out, plan.origin);
+  out.push_back(plan.options.flags());
+  PutVarint(out, plan.options.instances_per_context);
+  PutVarint(out, plan.options.global_shards);
+  PutVarint(out, plan.index_min_population);
+  PutString(out, plan.manifest_text);
+  PutString(out, profile::HintsToText(plan.plan_hints));
 }
 
-Status GetPlan(Cursor& in, TraceFile& file) {
+Status GetPlan(Cursor& in, Plan& plan) {
   uint8_t flags = 0;
   uint64_t instances_per_context = 0, global_shards = 0;
   std::string hints;
-  in.String(&file.origin);
+  in.String(&plan.origin);
   in.Byte(&flags);
   in.Varint(&instances_per_context);
   in.Varint(&global_shards);
-  in.Varint(&file.index_min_population);
-  in.String(&file.manifest_text);
+  in.Varint(&plan.index_min_population);
+  in.String(&plan.manifest_text);
   in.String(&hints);
   if (in.failed) {
     return Error{"truncated"};
@@ -177,12 +168,12 @@ Status GetPlan(Cursor& in, TraceFile& file) {
   if (!options.ok()) {
     return options.error();
   }
-  file.options = options.value();
+  plan.options = options.value();
   Result<profile::PlanHints> parsed = profile::ParseHints(hints);
   if (!parsed.ok()) {
     return parsed.error();
   }
-  file.plan_hints = std::move(parsed.value());
+  plan.plan_hints = std::move(parsed.value());
   return Status::Ok();
 }
 
@@ -403,6 +394,47 @@ void PutSection(std::vector<uint8_t>& out, Tag tag, Encode encode) {
 }
 
 }  // namespace
+
+Plan Plan::Of(std::string origin, const runtime::RuntimeOptions& options,
+              std::string manifest_text) {
+  Plan plan;
+  plan.origin = std::move(origin);
+  plan.options = CaptureOptions::Of(options);
+  plan.index_min_population = options.index_min_population;
+  plan.plan_hints = options.plan_hints;
+  plan.manifest_text = std::move(manifest_text);
+  return plan;
+}
+
+runtime::RuntimeOptions Plan::ToRuntimeOptions() const {
+  runtime::RuntimeOptions runtime_options;
+  runtime_options.lazy_init = options.lazy_init;
+  runtime_options.use_dfa = options.use_dfa;
+  runtime_options.instance_index = options.instance_index;
+  runtime_options.instances_per_context = static_cast<size_t>(options.instances_per_context);
+  runtime_options.global_shards = static_cast<size_t>(options.global_shards);
+  runtime_options.index_min_population = static_cast<size_t>(index_min_population);
+  runtime_options.plan_hints = plan_hints;
+  return runtime_options;
+}
+
+std::vector<uint8_t> Plan::Encode() const {
+  std::vector<uint8_t> out;
+  PutPlan(out, *this);
+  return out;
+}
+
+Result<Plan> Plan::Decode(const uint8_t* data, size_t size) {
+  Cursor in{data, size};
+  Plan plan;
+  if (Status status = GetPlan(in, plan); !status.ok()) {
+    return Error{"plan: " + status.error().message, 0, 0, kErrCorrupt};
+  }
+  if (in.remaining() != 0) {
+    return Error{"plan has trailing bytes", 0, 0, kErrCorrupt};
+  }
+  return plan;
+}
 
 Status TraceFile::Write(const std::string& path) const {
   std::vector<uint8_t> out(std::begin(kTraceMagic), std::end(kTraceMagic));

@@ -109,8 +109,7 @@ static_assert(sizeof(kStatsFields) / sizeof(kStatsFields[0]) ==
               "summary schema out of sync with RuntimeStats");
 
 // The subset of RuntimeOptions that changes replay semantics, and its one
-// codec. Captures (the plan section) and shm segments (ShmHeader) carry
-// it as a flags byte plus two integers.
+// codec: a flags byte plus two integers inside the plan encoding.
 struct CaptureOptions {
   bool lazy_init = true;
   bool use_dfa = false;
@@ -119,8 +118,6 @@ struct CaptureOptions {
   uint64_t global_shards = 8;
 
   static CaptureOptions Of(const runtime::RuntimeOptions& options);
-  // Default RuntimeOptions with these fields applied.
-  runtime::RuntimeOptions ToRuntimeOptions() const;
 
   // lazy_init | use_dfa << 1 | instance_index << 2.
   uint8_t flags() const;
@@ -147,18 +144,38 @@ struct SemanticSummary {
   profile::Snapshot profile;
 };
 
-// A capture, in memory: Write() and Read() are exact inverses.
-struct TraceFile {
+// The plan inputs: what a fresh process needs, besides the writer's symbol
+// table, to register the writer's assertion set and run it under the same
+// dispatch plan. A capture's plan section and an shm segment's plan region
+// are both this struct in one encoding (Encode/Decode).
+struct Plan {
   std::string origin;
   CaptureOptions options;
   // The plan inputs beyond CaptureOptions that move verdict counters
-  // (index_probes vs index_scans, pool sizing); replay applies both.
+  // (index_probes vs index_scans, pool sizing).
   uint64_t index_min_population = runtime::RuntimeOptions().index_min_population;
   profile::PlanHints plan_hints;
   // The embedded manifest (empty for writers with nothing to embed). When
-  // present, replay prefers it over resolving `origin` — the capture
-  // carries its own assertion set.
+  // present, readers prefer it over resolving `origin` — the plan carries
+  // its own assertion set.
   std::string manifest_text;
+
+  // The plan a runtime with `options` and registered `manifest_text` runs.
+  static Plan Of(std::string origin, const runtime::RuntimeOptions& options,
+                 std::string manifest_text);
+  // Default RuntimeOptions with every plan input applied: a reader's
+  // runtime routes each dispatch as the writer's did.
+  runtime::RuntimeOptions ToRuntimeOptions() const;
+
+  std::vector<uint8_t> Encode() const;
+  // Decodes bytes from an untrusted file or segment through a bounded
+  // cursor: kErrCorrupt for a truncated or over-long encoding, bad options
+  // (CaptureOptions::Decode) or hints that do not parse.
+  static Result<Plan> Decode(const uint8_t* data, size_t size);
+};
+
+// A capture, in memory: Write() and Read() are exact inverses.
+struct TraceFile : Plan {
   std::vector<std::string> symbols;  // index = symbol id in the capture process
   std::vector<TraceRecord> records;  // sequence-sorted
   SemanticSummary summary;

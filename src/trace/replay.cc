@@ -36,14 +36,10 @@ Status WriteCapture(const std::string& path, const std::string& origin,
   Snapshot snapshot = recorder->Harvest();
 
   TraceFile file;
-  file.origin = origin;
-  file.options = CaptureOptions::Of(rt.options());
-  file.index_min_population = rt.options().index_min_population;
-  file.plan_hints = rt.options().plan_hints;
   // Embedding the registered manifest makes the capture self-describing:
   // replay prefers it over resolving `origin`, so the file replays on any
   // machine — including user assertion sets no build ships a manifest for.
-  file.manifest_text = rt.ManifestText();
+  static_cast<Plan&>(file) = Plan::Of(origin, rt.options(), rt.ManifestText());
   const StringInterner& interner = GlobalInterner();
   file.symbols.reserve(interner.size());
   for (Symbol symbol = 0; symbol < interner.size(); symbol++) {
@@ -66,13 +62,12 @@ Status WriteCapture(const std::string& path, const std::string& origin,
 }
 
 runtime::RuntimeOptions ReplayOptions(const TraceFile& file) {
-  runtime::RuntimeOptions options = file.options.ToRuntimeOptions();
+  // The plan inputs include the probe gate and the hints, which decide
+  // index_probes vs index_scans and the pool sizes: a hinted capture
+  // replays hinted.
+  runtime::RuntimeOptions options = file.ToRuntimeOptions();
   options.fail_stop = false;
   options.trace_mode = TraceMode::kOff;
-  // The plan inputs: the probe gate and the hints decide index_probes vs
-  // index_scans and the pool sizes, so a hinted capture replays hinted.
-  options.index_min_population = static_cast<size_t>(file.index_min_population);
-  options.plan_hints = file.plan_hints;
   // A capture with an embedded metrics section is replayed with counters on
   // so per-class counters and transition coverage can be diffed. Histograms
   // stay off — they time the replayer, not the original run.

@@ -3,16 +3,20 @@
 // event-for-event with the naive two-pass scan it replaces. Both modes are
 // driven through identical pseudo-random schedules and compared on every
 // semantically observable quantity after every event; index_probes and
-// index_scans are excluded (they intentionally differ between modes).
+// index_scans are excluded (they intentionally differ between modes). The
+// schedules run at index gates 0, 1, 3 and 8, so the lazily built index is
+// checked when it is built mid-bound and rebuilt bound after bound.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "automata/lower.h"
 #include "automata/manifest.h"
+#include "profile/hints.h"
 #include "runtime/handler.h"
 #include "runtime/runtime.h"
 
@@ -33,10 +37,10 @@ Symbol S(const char* name) { return InternString(name); }
 RuntimeOptions TestOptions() {
   RuntimeOptions options;
   options.fail_stop = false;
-  // These schedules keep only a handful of instances live; pin the probe
-  // threshold to zero so the indexed side actually takes the probe path the
-  // differential exists to compare. The default threshold is covered by
-  // ProbeDecisionIsMonotoneInPopulation below.
+  // The directed checks keep only a handful of instances live; pin the probe
+  // threshold to zero so they take the probe path they check. The
+  // randomized schedules run at several gates (IndexGate), and the default
+  // threshold is covered by ProbeDecisionIsMonotoneInPopulation below.
   options.index_min_population = 0;
   return options;
 }
@@ -101,16 +105,59 @@ struct Pair {
 };
 
 // ---------------------------------------------------------------------------
-// Randomized differential schedules.
+// Randomized differential schedules, run at several index gates.
+//
+// The index is built lazily: nothing is filed until a class's live
+// population reaches index_min_population, and then the whole population is
+// filed at once. Gate 0 (and 1) builds it with the (∗) wildcard, as eager
+// filing did; gates 3 and 8 build it mid-bound, from a clone event, and
+// rebuild it in every later bound that grows past the gate. The schedules
+// lean on clone events so a bound's population crosses every gate under
+// test before the bound closes.
 
-TEST(InstanceIndex, RandomizedOneVariableAgrees) {
-  Pair p("TESLA_WITHIN(syscall, previously(check(x) == 0))");
+class IndexGate : public ::testing::TestWithParam<size_t> {
+ protected:
+  RuntimeOptions GateOptions() const {
+    RuntimeOptions options = TestOptions();
+    options.index_min_population = GetParam();
+    return options;
+  }
+  // At a gate above the wildcard the schedule must have scanned below it
+  // and probed past it; every gate must have probed.
+  void ExpectBothRoutes(const Pair& p) const {
+    EXPECT_GT(p.indexed.rt.stats().index_probes, 0u);
+    if (GetParam() > 1) {
+      EXPECT_GT(p.indexed.rt.stats().index_scans, 0u);
+    }
+    EXPECT_EQ(p.naive.rt.stats().index_probes, 0u);
+  }
+};
+
+// Draws the next action: 0 = enter the bound, 1 = leave it, otherwise
+// 2 + the index of the body action picked by `body_weights`.
+int NextAction(uint64_t& rng, std::initializer_list<int> body_weights) {
+  rng = rng * 6364136223846793005ull + 1;
+  int total = 2;
+  for (int w : body_weights) total += w;
+  int roll = static_cast<int>((rng >> 33) % static_cast<uint64_t>(total));
+  if (roll < 2) return roll;
+  roll -= 2;
+  int action = 2;
+  for (int w : body_weights) {
+    if (roll < w) return action;
+    roll -= w;
+    action++;
+  }
+  return action;
+}
+
+TEST_P(IndexGate, RandomizedOneVariableAgrees) {
+  Pair p("TESLA_WITHIN(syscall, previously(check(x) == 0))", GateOptions());
 
   uint64_t rng = 7;
-  for (int round = 0; round < 400; round++) {
-    rng = rng * 6364136223846793005ull + 1;
-    int action = static_cast<int>((rng >> 33) % 4);
-    int64_t value = static_cast<int64_t>((rng >> 40) % 5);
+  for (int round = 0; round < 600; round++) {
+    const int action = NextAction(rng, {10, 4});
+    int64_t value = static_cast<int64_t>((rng >> 40) % 12);
     int64_t args[] = {value};
     Binding site[] = {{0, value}};
 
@@ -120,33 +167,30 @@ TEST(InstanceIndex, RandomizedOneVariableAgrees) {
           s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
           break;
         case 1:
-          s->rt.OnFunctionReturn(*s->ctx, S("check"), args, 0);
+          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
           break;
         case 2:
-          s->rt.OnAssertionSite(*s->ctx, s->id, site);
+          s->rt.OnFunctionReturn(*s->ctx, S("check"), args, 0);
           break;
         case 3:
-          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
+          s->rt.OnAssertionSite(*s->ctx, s->id, site);
           break;
       }
     }
     p.Check("round");
   }
-  // The schedule must actually have exercised the fast path.
-  EXPECT_GT(p.indexed.rt.stats().index_probes, 0u);
-  EXPECT_EQ(p.naive.rt.stats().index_probes, 0u);
+  ExpectBothRoutes(p);
 }
 
-TEST(InstanceIndex, RandomizedTwoVariableWithPartialBindingsAgrees) {
+TEST_P(IndexGate, RandomizedTwoVariableWithPartialBindingsAgrees) {
   // pair(x, y) binds both variables on clone events, but assertion sites
   // sometimes supply only x: those dispatches cannot use the index and must
   // take the fall-back scan, which has to agree with the naive mode too.
-  Pair p("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))");
+  Pair p("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", GateOptions());
 
   uint64_t rng = 12345;
-  for (int round = 0; round < 400; round++) {
-    rng = rng * 6364136223846793005ull + 1;
-    int action = static_cast<int>((rng >> 33) % 5);
+  for (int round = 0; round < 600; round++) {
+    const int action = NextAction(rng, {8, 3, 2});
     int64_t x = static_cast<int64_t>((rng >> 40) % 4);
     int64_t y = static_cast<int64_t>((rng >> 45) % 4);
     int64_t args[] = {x, y};
@@ -159,33 +203,82 @@ TEST(InstanceIndex, RandomizedTwoVariableWithPartialBindingsAgrees) {
           s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
           break;
         case 1:
-          s->rt.OnFunctionReturn(*s->ctx, S("pair"), args, 0);
+          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
           break;
         case 2:
-          s->rt.OnAssertionSite(*s->ctx, s->id, full);
+          s->rt.OnFunctionReturn(*s->ctx, S("pair"), args, 0);
           break;
         case 3:
-          s->rt.OnAssertionSite(*s->ctx, s->id, partial);
+          s->rt.OnAssertionSite(*s->ctx, s->id, full);
           break;
         case 4:
-          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
+          s->rt.OnAssertionSite(*s->ctx, s->id, partial);
           break;
       }
     }
     p.Check("round");
   }
-  EXPECT_GT(p.indexed.rt.stats().index_probes, 0u);  // fully-bound sites
-  EXPECT_GT(p.indexed.rt.stats().index_scans, 0u);   // partially-bound sites
+  ExpectBothRoutes(p);
+  EXPECT_GT(p.indexed.rt.stats().index_scans, 0u);  // partially-bound sites
 }
 
-TEST(InstanceIndex, RandomizedGlobalAutomatonAgrees) {
-  Pair p("TESLA_GLOBAL(call(syscall), returnfrom(syscall), previously(check(x) == 0))");
+TEST_P(IndexGate, RandomizedPrefixHintBuiltLateAgrees) {
+  // A profile-hinted prefix index on x, under the global gate: the prefix
+  // chains are built with the key index when the population crosses the
+  // gate, so x-only sites switch from the scan to the prefix probe
+  // mid-bound. y-only sites always scan.
+  RuntimeOptions options = GateOptions();
+  profile::ClassHint hint;
+  hint.name = "diff";
+  hint.prefix_key_pos = 0;
+  options.plan_hints.classes.push_back(hint);
+  Pair p("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", options);
+
+  uint64_t rng = 2718;
+  for (int round = 0; round < 600; round++) {
+    const int action = NextAction(rng, {8, 2, 3, 1});
+    int64_t x = static_cast<int64_t>((rng >> 40) % 4);
+    int64_t y = static_cast<int64_t>((rng >> 45) % 4);
+    int64_t args[] = {x, y};
+    Binding full[] = {{0, x}, {1, y}};
+    Binding only_x[] = {{0, x}};
+    Binding only_y[] = {{1, y}};
+
+    for (Side* s : {&p.indexed, &p.naive}) {
+      switch (action) {
+        case 0:
+          s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
+          break;
+        case 1:
+          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
+          break;
+        case 2:
+          s->rt.OnFunctionReturn(*s->ctx, S("pair"), args, 0);
+          break;
+        case 3:
+          s->rt.OnAssertionSite(*s->ctx, s->id, full);
+          break;
+        case 4:
+          s->rt.OnAssertionSite(*s->ctx, s->id, only_x);
+          break;
+        case 5:
+          s->rt.OnAssertionSite(*s->ctx, s->id, only_y);
+          break;
+      }
+    }
+    p.Check("round");
+  }
+  ExpectBothRoutes(p);
+}
+
+TEST_P(IndexGate, RandomizedGlobalAutomatonAgrees) {
+  Pair p("TESLA_GLOBAL(call(syscall), returnfrom(syscall), previously(check(x) == 0))",
+         GateOptions());
 
   uint64_t rng = 4242;
-  for (int round = 0; round < 300; round++) {
-    rng = rng * 6364136223846793005ull + 1;
-    int action = static_cast<int>((rng >> 33) % 4);
-    int64_t value = static_cast<int64_t>((rng >> 40) % 4);
+  for (int round = 0; round < 600; round++) {
+    const int action = NextAction(rng, {10, 4});
+    int64_t value = static_cast<int64_t>((rng >> 40) % 12);
     int64_t args[] = {value};
     Binding site[] = {{0, value}};
 
@@ -195,31 +288,30 @@ TEST(InstanceIndex, RandomizedGlobalAutomatonAgrees) {
           s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
           break;
         case 1:
-          s->rt.OnFunctionReturn(*s->ctx, S("check"), args, 0);
+          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
           break;
         case 2:
-          s->rt.OnAssertionSite(*s->ctx, s->id, site);
+          s->rt.OnFunctionReturn(*s->ctx, S("check"), args, 0);
           break;
         case 3:
-          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
+          s->rt.OnAssertionSite(*s->ctx, s->id, site);
           break;
       }
     }
     p.Check("round");
   }
-  EXPECT_GT(p.indexed.rt.stats().index_probes, 0u);
+  ExpectBothRoutes(p);
 }
 
-TEST(InstanceIndex, RandomizedDfaModeAgrees) {
-  RuntimeOptions options = TestOptions();
+TEST_P(IndexGate, RandomizedDfaModeAgrees) {
+  RuntimeOptions options = GateOptions();
   options.use_dfa = true;
   Pair p("TESLA_WITHIN(syscall, previously(ca(x) == 0 || cb(x) == 0))", options);
 
   uint64_t rng = 555;
-  for (int round = 0; round < 300; round++) {
-    rng = rng * 6364136223846793005ull + 1;
-    int action = static_cast<int>((rng >> 33) % 5);
-    int64_t value = static_cast<int64_t>((rng >> 40) % 4);
+  for (int round = 0; round < 600; round++) {
+    const int action = NextAction(rng, {5, 5, 4});
+    int64_t value = static_cast<int64_t>((rng >> 40) % 12);
     int64_t args[] = {value};
     Binding site[] = {{0, value}};
 
@@ -229,37 +321,36 @@ TEST(InstanceIndex, RandomizedDfaModeAgrees) {
           s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
           break;
         case 1:
-          s->rt.OnFunctionReturn(*s->ctx, S("ca"), args, 0);
+          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
           break;
         case 2:
-          s->rt.OnFunctionReturn(*s->ctx, S("cb"), args, 0);
+          s->rt.OnFunctionReturn(*s->ctx, S("ca"), args, 0);
           break;
         case 3:
-          s->rt.OnAssertionSite(*s->ctx, s->id, site);
+          s->rt.OnFunctionReturn(*s->ctx, S("cb"), args, 0);
           break;
         case 4:
-          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
+          s->rt.OnAssertionSite(*s->ctx, s->id, site);
           break;
       }
     }
     p.Check("round");
   }
+  ExpectBothRoutes(p);
 }
 
-TEST(InstanceIndex, RandomizedOverflowPressureAgrees) {
+TEST_P(IndexGate, RandomizedOverflowPressureAgrees) {
   // A tiny pool: both modes must report the same kOverflow violations and
-  // the same overflow counts even when most clones are dropped.
-  RuntimeOptions options = TestOptions();
+  // the same overflow counts even when most clones are dropped. The pool
+  // caps the population at 3, so gate 8 is never reached and that run
+  // never builds the index at all.
+  RuntimeOptions options = GateOptions();
   options.instances_per_context = 3;
   Pair p("TESLA_WITHIN(syscall, previously(check(x) == 0))", options);
 
   uint64_t rng = 31337;
   for (int round = 0; round < 300; round++) {
-    rng = rng * 6364136223846793005ull + 1;
-    // Biased towards clone events so the tiny pool actually fills within a
-    // bound: 0 = enter, 1..5 = check, 6 = site, 7 = exit.
-    int roll = static_cast<int>((rng >> 33) % 8);
-    int action = roll == 0 ? 0 : roll <= 5 ? 1 : roll == 6 ? 2 : 3;
+    const int action = NextAction(rng, {5, 1});
     int64_t value = static_cast<int64_t>((rng >> 40) % 16);
     int64_t args[] = {value};
     Binding site[] = {{0, value}};
@@ -270,13 +361,13 @@ TEST(InstanceIndex, RandomizedOverflowPressureAgrees) {
           s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
           break;
         case 1:
-          s->rt.OnFunctionReturn(*s->ctx, S("check"), args, 0);
+          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
           break;
         case 2:
-          s->rt.OnAssertionSite(*s->ctx, s->id, site);
+          s->rt.OnFunctionReturn(*s->ctx, S("check"), args, 0);
           break;
         case 3:
-          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
+          s->rt.OnAssertionSite(*s->ctx, s->id, site);
           break;
       }
     }
@@ -284,6 +375,11 @@ TEST(InstanceIndex, RandomizedOverflowPressureAgrees) {
   }
   EXPECT_GT(p.indexed.rt.stats().overflows, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Gates, IndexGate, ::testing::Values(0, 1, 3, 8),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "gate" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Directed checks on index engagement and fall-back routing.
@@ -372,6 +468,70 @@ TEST(InstanceIndex, ProbeDecisionIsMonotoneInPopulation) {
   s.rt.OnFunctionReturn(*s.ctx, S("check"), args, 0);
   EXPECT_GT(s.rt.stats().index_probes, 0u);
   EXPECT_EQ(s.rt.stats().index_scans, 0u);
+}
+
+// Logs every instance callback in order, naming the instance by its
+// bindings: a probe reports instances in the order it walks a chain.
+class CallbackLog : public runtime::EventHandler {
+ public:
+  void OnClone(const runtime::ClassInfo&, const runtime::Instance& parent,
+               const runtime::Instance& clone) override {
+    log.push_back("clone " + Name(parent) + " -> " + Name(clone));
+  }
+  void OnTransition(const runtime::ClassInfo&, const runtime::Instance& instance,
+                    automata::StateSet from, uint16_t, automata::StateSet to) override {
+    log.push_back("step " + Name(instance) + " " + std::to_string(from) + "->" +
+                  std::to_string(to));
+  }
+  void OnAccept(const runtime::ClassInfo&, const runtime::Instance& instance) override {
+    log.push_back("accept " + Name(instance));
+  }
+  std::vector<std::string> log;
+
+ private:
+  static std::string Name(const runtime::Instance& instance) {
+    std::string name = "(";
+    for (uint16_t var = 0; var < 2; var++) {
+      name += instance.IsBound(var) ? std::to_string(instance.values[var]) : "*";
+      name += var == 0 ? "," : ")";
+    }
+    return name;
+  }
+};
+
+TEST(InstanceIndex, LateBuildWalksChainsLikeEagerFiling) {
+  // Six instances share the hinted prefix x = 1, so an x-only site walks one
+  // prefix chain of them. Built at the gate from the whole population, that
+  // chain must list them in the order filing each clone as it was created
+  // (gate 0) does: the same callbacks, in the same order. The bound repeats,
+  // so the index is also rebuilt.
+  auto run = [](size_t gate) {
+    RuntimeOptions options = TestOptions();
+    options.index_min_population = gate;
+    profile::ClassHint hint;
+    hint.name = "diff";
+    hint.prefix_key_pos = 0;
+    options.plan_hints.classes.push_back(hint);
+    Side s("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", options);
+    CallbackLog callbacks;
+    s.rt.AddHandler(&callbacks);
+    for (int bound = 0; bound < 2; bound++) {
+      s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
+      for (int64_t y = 0; y < 6; y++) {
+        int64_t args[] = {1, y};
+        s.rt.OnFunctionReturn(*s.ctx, S("pair"), args, 0);
+      }
+      Binding only_x[] = {{0, 1}};
+      s.rt.OnAssertionSite(*s.ctx, s.id, only_x);
+      s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
+    }
+    EXPECT_GT(s.rt.stats().index_probes, 0u);
+    EXPECT_EQ(s.rt.stats().violations, 0u);
+    return callbacks.log;
+  };
+  const std::vector<std::string> eager = run(0);
+  ASSERT_FALSE(eager.empty());
+  EXPECT_EQ(run(4), eager);
 }
 
 TEST(InstanceIndex, ManyDistinctKeysStayIndependent) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "automata/lower.h"
 #include "automata/manifest.h"
 #include "runtime/scope.h"
+#include "support/log.h"
 
 namespace tesla {
 namespace {
@@ -499,6 +502,161 @@ TEST(Runtime, ShardContextsOnlyWhereAGlobalClassLives) {
   global.rt.OnFunctionReturn(ctx, S("syscall"), {}, 0);
   EXPECT_EQ(global.rt.stats().violations, 0u);
   EXPECT_EQ(global.rt.stats().accepts, 2u);
+}
+
+// Register() after contexts exist sizes every live context, so dispatch
+// never checks plan capacity. A context created before the first
+// Register() and one created between two registrations must dispatch the
+// classes of both registrations exactly like a context created after them:
+// the second registration adds a bound (new bound and cleanup slots), an
+// incallstack() predicate (a tracked-stack slot) and two classes. Metrics
+// stay off, so no observability shard is involved. Run with a handler (the
+// generic dispatch path, verdict sequence compared) and without one (the
+// flattened site and batch-kernel paths).
+TEST(Runtime, LateRegisterSizesEveryLiveContext) {
+  SetLogLevel(LogLevel::kSilent);
+  auto manifest = [](const char* source, const char* name) {
+    auto automaton = CompileAssertion(source, {}, name);
+    EXPECT_TRUE(automaton.ok()) << automaton.error().ToString();
+    automata::Manifest manifest;
+    manifest.Add(std::move(automaton.value()));
+    return manifest;
+  };
+  // One schedule over both registrations' classes; every bound it opens it
+  // closes, so contexts driven one after another start from the same state.
+  auto drive = [](Runtime& rt, ThreadContext& ctx) {
+    const uint32_t first = static_cast<uint32_t>(rt.FindAutomaton("first"));
+    const uint32_t second = static_cast<uint32_t>(rt.FindAutomaton("second"));
+    const uint32_t third = static_cast<uint32_t>(rt.FindAutomaton("third"));
+    uint64_t rng = 77;
+    for (int bound = 0; bound < 40; bound++) {
+      rt.OnFunctionCall(ctx, S("syscall"), {});
+      rt.OnFunctionCall(ctx, S("other"), {});
+      for (int step = 0; step < 6; step++) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        const int64_t x = static_cast<int64_t>((rng >> 40) % 4);
+        int64_t args[] = {x};
+        Binding site[] = {{0, x}};
+        switch ((rng >> 33) % 7) {
+          case 0:
+            rt.OnFunctionReturn(ctx, S("check"), args, 0);
+            break;
+          case 1:
+            rt.OnFunctionReturn(ctx, S("ocheck"), args, 0);
+            break;
+          case 2:
+            rt.OnAssertionSite(ctx, first, site);
+            break;
+          case 3:
+            rt.OnAssertionSite(ctx, second, site);
+            break;
+          case 4:
+            rt.OnFunctionCall(ctx, S("helper"), {});
+            rt.OnAssertionSite(ctx, second, site);
+            rt.OnFunctionReturn(ctx, S("helper"), {}, 0);
+            break;
+          case 5:
+            rt.OnAssertionSite(ctx, third, {});
+            break;
+          case 6:
+            rt.OnFunctionCall(ctx, S("mark"), {});
+            break;
+        }
+      }
+      rt.OnFunctionReturn(ctx, S("other"), {}, 0);
+      rt.OnFunctionReturn(ctx, S("syscall"), {}, 0);
+    }
+  };
+
+  for (const bool with_handler : {true, false}) {
+    SCOPED_TRACE(with_handler ? "with a handler" : "without handlers");
+    Runtime rt(TestOptions());
+    CountingHandler handler;
+    if (with_handler) {
+      rt.AddHandler(&handler);
+    }
+    ThreadContext before_first(rt);
+    ASSERT_TRUE(
+        rt.Register(manifest("TESLA_WITHIN(syscall, previously(check(x) == 0))", "first"))
+            .ok());
+    ThreadContext between(rt);
+    automata::Manifest late =
+        manifest("TESLA_WITHIN(other, incallstack(helper) || previously(ocheck(x) == 0))",
+                 "second");
+    for (automata::Automaton& automaton :
+         manifest("TESLA_WITHIN(other, previously(mark()))", "third").automata) {
+      late.Add(std::move(automaton));
+    }
+    ASSERT_TRUE(rt.Register(late).ok());
+    ThreadContext after(rt);
+
+    struct Outcome {
+      runtime::RuntimeStats stats;
+      std::vector<std::pair<ViolationKind, std::string>> verdicts;
+    };
+    auto run = [&](ThreadContext& ctx) {
+      rt.ResetStats();
+      const size_t seen = handler.violations().size();
+      drive(rt, ctx);
+      Outcome outcome{rt.stats(), {}};
+      for (size_t i = seen; i < handler.violations().size(); i++) {
+        outcome.verdicts.emplace_back(handler.violations()[i].kind,
+                                      handler.violations()[i].automaton);
+      }
+      return outcome;
+    };
+    const Outcome reference = run(after);
+    EXPECT_GT(reference.stats.violations, 0u);
+    EXPECT_GT(reference.stats.accepts, 0u);
+    for (ThreadContext* ctx : {&before_first, &between}) {
+      SCOPED_TRACE(ctx == &between ? "created between registrations"
+                                   : "created before the first Register()");
+      const Outcome outcome = run(*ctx);
+#define TESLA_EXPECT_SAME_STAT(name, desc, replay) \
+  EXPECT_EQ(outcome.stats.name, reference.stats.name) << #name;
+      TESLA_RUNTIME_STATS(TESLA_EXPECT_SAME_STAT)
+#undef TESLA_EXPECT_SAME_STAT
+      EXPECT_EQ(outcome.verdicts, reference.verdicts);
+    }
+  }
+}
+
+// A Register() that fails on a manifest's second automaton adopts none of
+// it: a context created before it must not see a class the plan it was
+// sized to lacks, and a later, valid Register() still sizes it.
+TEST(Runtime, FailedRegisterAdoptsNoClass) {
+  SetLogLevel(LogLevel::kSilent);
+  auto compile = [](const char* source, const char* name) {
+    auto automaton = CompileAssertion(source, {}, name);
+    EXPECT_TRUE(automaton.ok()) << automaton.error().ToString();
+    return std::move(automaton.value());
+  };
+  Runtime rt(TestOptions());
+  ThreadContext early(rt);
+  automata::Manifest failing;
+  failing.Add(compile("TESLA_WITHIN(syscall, previously(check(x) == 0))", "first"));
+  automata::Automaton too_wide = compile("TESLA_WITHIN(syscall, previously(mark()))", "wide");
+  too_wide.variables.resize(runtime::kMaxVariables + 1, "v");
+  failing.Add(std::move(too_wide));
+  ASSERT_FALSE(rt.Register(failing).ok());
+  EXPECT_LT(rt.FindAutomaton("first"), 0);
+
+  // The site event names the id "first" would have had: ignored, not an
+  // index into a class table the context never grew.
+  Binding site[] = {{0, 1}};
+  rt.OnFunctionCall(early, S("syscall"), {});
+  rt.OnAssertionSite(early, 0, site);
+  rt.OnFunctionReturn(early, S("syscall"), {}, 0);
+  EXPECT_EQ(rt.stats().violations, 0u);
+
+  automata::Manifest valid;
+  valid.Add(compile("TESLA_WITHIN(syscall, previously(check(x) == 0))", "first"));
+  ASSERT_TRUE(rt.Register(valid).ok());
+  ASSERT_EQ(rt.FindAutomaton("first"), 0);
+  rt.OnFunctionCall(early, S("syscall"), {});
+  rt.OnAssertionSite(early, 0, site);  // check(1) never returned 0
+  rt.OnFunctionReturn(early, S("syscall"), {}, 0);
+  EXPECT_EQ(rt.stats().violations, 1u);
 }
 
 }  // namespace

@@ -21,7 +21,9 @@
 //   tesla-trace attach  <shm-name>      attach to a live instrumented
 //                                       process's shm segment (see
 //                                       src/ipc), register its embedded
-//                                       manifest, and dispatch its event
+//                                       manifest under the publisher's
+//                                       options and plan inputs, and
+//                                       dispatch its event
 //                                       stream as an out-of-process sidecar
 //                                       checker until the publisher closes
 //                                       (exit 1 if a lane is corrupt)
