@@ -79,11 +79,11 @@ double MeasureDispatch(const char* source, bool indexed, int population, double 
                  indexed);
     return -1;
   }
-  // Below RuntimeOptions::index_min_population the indexed mode deliberately
-  // skips the probe and scans (the small-population crossover fix this bench
-  // measures at n=1); past it every fully-bound dispatch must probe.
+  // Below runtime::kIndexMinPopulation the indexed mode deliberately skips
+  // the probe and scans (the small-population crossover this bench measures
+  // at n=1); past it every fully-bound dispatch must probe.
   const size_t live = static_cast<size_t>(population) + 1;  // clones + wildcard
-  const bool expect_probe = live >= rt->options().index_min_population;
+  const bool expect_probe = live >= runtime::kIndexMinPopulation;
   if (indexed && expect_probe && rt->stats().index_probes == 0) {
     std::fprintf(stderr, "index never engaged (pop=%d)\n", population);
     return -1;

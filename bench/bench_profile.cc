@@ -6,8 +6,8 @@
 //      write path is a handful of relaxed load+store pairs (no RMW) plus a
 //      1-in-64 sampled clock, the same discipline as tesla::metrics.
 //   2. On a scan-fallback workload — partially-bound sites against a large
-//      instance population — the profile's own prescription (a secondary
-//      prefix index on the bound key variable, fed back as a PlanHint) makes
+//      instance population — the profile's own prescription (the instance
+//      index keyed on the bound key variable, fed back as a PlanHint) makes
 //      dispatch ≥ 1.5× faster. The hinted plan walks one prefix bucket where
 //      the unhinted plan scans every live instance.
 //
@@ -128,8 +128,7 @@ double MeasurePartialDispatch(bool hinted, int distinct_x, int per_x, double min
     profile::ClassHint hint;
     hint.name = "profile-bench";
     hint.capacity = 4096;     // hints size the pool: leave headroom for the population
-    hint.min_population = 0;
-    hint.prefix_key_pos = 0;  // secondary index on x
+    hint.prefix_key_pos = 0;  // key the instance index on x
     options.plan_hints.classes.push_back(hint);
   }
   auto rt = MakeRuntime(kTwoVar, options);

@@ -1,5 +1,6 @@
 #include "automata/manifest.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -100,6 +101,18 @@ bool ReadArgMatch(std::string_view token, ArgMatch* match) {
     return false;
   }
   return true;
+}
+
+// The text after `keyword` and its separating space ("" when the line is
+// the bare keyword).
+std::string_view AfterKeyword(std::string_view line, std::string_view keyword) {
+  return line.size() > keyword.size() ? line.substr(keyword.size() + 1) : std::string_view();
+}
+
+// Whether every variable `match` names is one of `variables` variables.
+bool VariableInRange(const ArgMatch& match, size_t variables) {
+  return (match.kind != ArgMatchKind::kVariable && match.kind != ArgMatchKind::kIndirect) ||
+         match.var < variables;
 }
 
 const char* PatternKindToken(PatternKind kind) {
@@ -232,6 +245,9 @@ Result<Manifest> Manifest::Deserialize(std::string_view text) {
   Automaton current;
   bool in_automaton = false;
   int line_number = 0;
+  // Where the current block's bounds line was: its symbols are checked
+  // against the alphabet at `end`, since the sym lines follow it.
+  int bounds_line = 0;
 
   auto fail = [&](const std::string& message) {
     return Error{message, line_number, 1};
@@ -252,13 +268,25 @@ Result<Manifest> Manifest::Deserialize(std::string_view text) {
       }
       in_automaton = true;
       current = Automaton();
-      current.name = UnescapeLine(line.substr(std::string("automaton ").size()));
+      current.name = UnescapeLine(AfterKeyword(line, keyword));
+      bounds_line = 0;
       continue;
     }
     if (!in_automaton) {
       return fail("directive outside automaton block");
     }
     if (keyword == "end") {
+      // Every index Finalize() and the runtime follow must be in range:
+      // the text crosses a trust boundary (capture files, shm segments).
+      if (current.state_count == 0) {
+        return fail("automaton block without a states line");
+      }
+      const size_t symbols = current.alphabet.size();
+      if (current.init_symbol >= symbols || current.cleanup_symbol >= symbols ||
+          (current.has_site && current.site_symbol >= symbols)) {
+        line_number = bounds_line;
+        return fail("bounds symbol out of range");
+      }
       current.Finalize();
       manifest.automata.push_back(std::move(current));
       in_automaton = false;
@@ -279,6 +307,9 @@ Result<Manifest> Manifest::Deserialize(std::string_view text) {
       if (words.size() < 4 || !ParseInt64(words[1], &states) || !ParseInt64(words[3], &accept)) {
         return fail("malformed states line");
       }
+      if (states < 1 || states > kMaxStates || accept < 0 || accept >= states) {
+        return fail("states or accept state out of range");
+      }
       current.state_count = static_cast<uint32_t>(states);
       current.accept_state = static_cast<uint32_t>(accept);
       continue;
@@ -291,6 +322,11 @@ Result<Manifest> Manifest::Deserialize(std::string_view text) {
           !ParseInt64(words[3], &site)) {
         return fail("malformed bounds line");
       }
+      if (init < 0 || init > UINT16_MAX || cleanup < 0 || cleanup > UINT16_MAX ||
+          site < -1 || site > UINT16_MAX) {
+        return fail("bounds symbol out of range");
+      }
+      bounds_line = line_number;
       current.init_symbol = static_cast<uint16_t>(init);
       current.cleanup_symbol = static_cast<uint16_t>(cleanup);
       current.has_site = site >= 0;
@@ -300,11 +336,11 @@ Result<Manifest> Manifest::Deserialize(std::string_view text) {
       continue;
     }
     if (keyword == "source") {
-      current.source_text = UnescapeLine(line.substr(std::string("source ").size()));
+      current.source_text = UnescapeLine(AfterKeyword(line, keyword));
       continue;
     }
     if (keyword == "var") {
-      current.variables.push_back(UnescapeLine(line.substr(std::string("var ").size())));
+      current.variables.push_back(UnescapeLine(AfterKeyword(line, keyword)));
       continue;
     }
     if (keyword == "sym") {
@@ -338,7 +374,10 @@ Result<Manifest> Manifest::Deserialize(std::string_view text) {
         if (key == "fn") {
           pattern.function = InternString(UnescapeLine(value));
         } else if (key == "side") {
-          if (!ParseInt64(value, &number)) return fail("bad side");
+          if (!ParseInt64(value, &number) || number < 0 ||
+              number > static_cast<int64_t>(CallSide::kCaller)) {
+            return fail("bad side");
+          }
           pattern.side = static_cast<CallSide>(number);
         } else if (key == "argspec") {
           pattern.args_specified = value == "1";
@@ -354,18 +393,33 @@ Result<Manifest> Manifest::Deserialize(std::string_view text) {
           pattern.match_return = true;
           if (!ReadArgMatch(value, &pattern.return_match)) return fail("bad return match");
         } else if (key == "svar") {
-          if (!ParseInt64(value, &number)) return fail("bad svar");
+          if (!ParseInt64(value, &number) || number < 0 ||
+              static_cast<uint64_t>(number) >= current.variables.size()) {
+            return fail("svar out of range");
+          }
           pattern.struct_var = static_cast<uint16_t>(number);
         } else if (key == "field") {
           pattern.field = InternString(UnescapeLine(value));
         } else if (key == "op") {
-          if (!ParseInt64(value, &number)) return fail("bad op");
+          if (!ParseInt64(value, &number) || number < 0 ||
+              number > static_cast<int64_t>(ast::AssignOp::kDecrement)) {
+            return fail("bad op");
+          }
           pattern.assign_op = static_cast<ast::AssignOp>(number);
         } else if (key == "val") {
           if (!ReadArgMatch(value, &pattern.assign_value)) return fail("bad assign value");
         } else {
           return fail("unknown sym attribute");
         }
+      }
+      const size_t variables = current.variables.size();
+      bool in_range = VariableInRange(pattern.return_match, variables) &&
+                      VariableInRange(pattern.assign_value, variables);
+      for (const ArgMatch& match : pattern.args) {
+        in_range = in_range && VariableInRange(match, variables);
+      }
+      if (!in_range) {
+        return fail("variable reference out of range");
       }
       current.alphabet.push_back(std::move(pattern));
       continue;
@@ -404,7 +458,10 @@ Result<Manifest> Manifest::Deserialize(std::string_view text) {
         if (!value.empty()) {
           for (std::string_view token : SplitString(value, ',')) {
             int64_t symbol = 0;
-            if (!ParseInt64(token, &symbol)) return fail("bad timed symbol");
+            if (!ParseInt64(token, &symbol) || symbol < 0 ||
+                static_cast<uint64_t>(symbol) >= current.alphabet.size()) {
+              return fail("timed symbol out of range");
+            }
             spec.symbols.push_back(static_cast<uint16_t>(symbol));
           }
         }
@@ -422,6 +479,13 @@ Result<Manifest> Manifest::Deserialize(std::string_view text) {
       if (words.size() < 4 || !ParseInt64(words[1], &from) || !ParseInt64(words[2], &symbol) ||
           !ParseInt64(words[3], &to)) {
         return fail("malformed trans line");
+      }
+      const int64_t states = current.state_count;
+      if (from < 0 || from >= states || to < 0 || to >= states) {
+        return fail("trans state out of range");
+      }
+      if (symbol < 0 || static_cast<uint64_t>(symbol) >= current.alphabet.size()) {
+        return fail("trans symbol out of range");
       }
       current.transitions.push_back(Transition{static_cast<uint32_t>(from),
                                                static_cast<uint16_t>(symbol),

@@ -61,7 +61,9 @@ namespace tesla::ipc {
 
 inline constexpr char kShmMagic[8] = {'T', 'S', 'L', 'A', 'S', 'H', 'M', '1'};
 // v2: the plan region replaces v1's header options, origin and manifest.
-inline constexpr uint32_t kShmVersion = 2;
+// v3: the plan loses its index-population field (the gate is a runtime
+// constant) and carries v2 hints text.
+inline constexpr uint32_t kShmVersion = 3;
 inline constexpr uint32_t kShmMaxLanes = 64;
 
 enum class ShmState : uint32_t {

@@ -9,7 +9,7 @@
 //     sidecar's dispatch plan routes the publisher's symbols;
 //   * the publisher's trace::Plan — the embedded manifest text and origin
 //     (the assertion set to register), the semantics-bearing runtime
-//     options and the plan inputs (index_min_population, plan hints) — so
+//     options and the plan hints — so
 //     the sidecar's Runtime reproduces the publisher's configuration and
 //     routes every dispatch (index probe or scan) as the publisher's would.
 //

@@ -60,7 +60,6 @@ constexpr size_t Slot(Cell cell) {
 }
 inline constexpr size_t kCountersStride = Slot(Cell::scan_fallbacks) + 1;
 static_assert(Slot(Cell::index_probes) < kCountersStride &&
-                  Slot(Cell::prefix_probes) < kCountersStride &&
                   Slot(Cell::violations) < kCountersStride,
               "a counters-only block holds the route and runtime cells");
 

@@ -46,16 +46,15 @@ const char* MetricsModeName(MetricsMode mode);
 //     so fleet merges are order-independent byte for byte.
 //
 // The first kProfileCellCount cells are the profile view, in its wire
-// order. The index route is stored once, as key probe (index_probes),
-// prefix probe and scan fallback; the metrics view folds it into its
-// index_probes/index_scans counters (see ClassCounter below).
+// order. The index route is stored once, as probe (index_probes) or scan
+// fallback; the metrics view reads it as its index_probes/index_scans
+// counters (see ClassCounter below). Scans below the index population gate
+// are scan_fallbacks − partial_bound.
 #define TESLA_CLASS_CELLS(X)                                                   \
   X(dispatches, "events dispatched to the class's instances", 1, kSum)         \
-  X(index_probes, "dispatches served by one full-key index-bucket probe", 1, kSum) \
-  X(prefix_probes, "dispatches served by the secondary prefix-key index", 1, kSum) \
+  X(index_probes, "dispatches served by one index-bucket probe", 1, kSum)     \
   X(scan_fallbacks, "dispatches that fell back to a full instance scan", 1, kSum) \
   X(partial_bound, "scan fallbacks whose bindings covered only part of the key set", 1, kSum) \
-  X(small_population, "scan fallbacks forced by the index_min_population gate", 1, kSum) \
   X(fanout_sum, "sum of live-instance populations sampled at dispatch", 1, kSum) \
   X(fanout_peak, "largest live-instance population observed at dispatch", 1, kMax) \
   X(latency_ns, "sampled dispatch latency total, nanoseconds (wall clock)", 0, kSum) \
@@ -127,15 +126,15 @@ inline constexpr size_t kSketchOffset = kCellCount + kMaxKeyVars;
 inline constexpr size_t kClassStride = kCellCount + kMaxKeyVars + kMaxKeyVars * kSketchWords;
 
 // The metrics view (ClassSnapshot::counters, tesla_class_*_total and the
-// capture metrics section): the runtime cells as stored, then the index route folded
-// into two counters.
+// capture metrics section): the runtime cells as stored, then the index route
+// as two counters.
 enum class ClassCounter : uint8_t {
   instances_created,
   instances_cloned,
   transitions,
   accepts,
   violations,
-  index_probes,  // cells index_probes + prefix_probes
+  index_probes,  // cell index_probes
   index_scans,   // cell scan_fallbacks
 };
 
@@ -163,8 +162,7 @@ inline void CountersFromCells(const uint64_t* cells, uint64_t* counters) {
     counters[k] = cells[kProfileCellCount + k];
   }
   counters[static_cast<size_t>(ClassCounter::index_probes)] =
-      cells[static_cast<size_t>(Cell::index_probes)] +
-      cells[static_cast<size_t>(Cell::prefix_probes)];
+      cells[static_cast<size_t>(Cell::index_probes)];
   counters[static_cast<size_t>(ClassCounter::index_scans)] =
       cells[static_cast<size_t>(Cell::scan_fallbacks)];
 }

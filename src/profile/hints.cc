@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <string_view>
 
 namespace tesla::profile {
 namespace {
@@ -15,6 +15,39 @@ uint32_t RoundUpPow2(uint64_t n) {
     p <<= 1;
   }
   return p;
+}
+
+// Reads `label` then an optional '-' (when `min` < 0) and 1–7 decimal
+// digits at `line[*pos]`, into `*value` within [min, max]. On failure
+// returns a message and leaves `*pos` at the offending byte.
+const char* ParseField(std::string_view line, size_t* pos, std::string_view label, long min,
+                       long max, long* value) {
+  if (line.substr(*pos, label.size()) != label) {
+    return "plan hints: malformed fields after class name";
+  }
+  *pos += label.size();
+  const bool negative = min < 0 && *pos < line.size() && line[*pos] == '-';
+  if (negative) {
+    ++*pos;
+  }
+  const size_t digits_start = *pos;
+  long magnitude = 0;
+  while (*pos < line.size() && line[*pos] >= '0' && line[*pos] <= '9') {
+    if (*pos - digits_start == 7) {
+      return "plan hints: field out of range";
+    }
+    magnitude = magnitude * 10 + (line[*pos] - '0');
+    ++*pos;
+  }
+  if (*pos == digits_start) {
+    return "plan hints: field is not a decimal number";
+  }
+  *value = negative ? -magnitude : magnitude;
+  if (*value < min || *value > max) {
+    *pos = digits_start;
+    return "plan hints: field out of range";
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -33,18 +66,13 @@ PlanHints HintsFromSnapshot(const Snapshot& snapshot) {
     // that bursts slightly past its profile window doesn't overflow.
     hint.capacity = std::max<uint32_t>(16, RoundUpPow2(peak * 2));
 
-    const uint64_t gated = cls.cell(Cell::small_population);
+    // Prefix key: scans dominated by partially-bound dispatches (rather
+    // than by scans below the index population gate), where one tracked key
+    // variable was bound in most of them. Pick the most-bound variable
+    // (lowest position wins ties — deterministic).
+    const uint64_t scans = cls.cell(Cell::scan_fallbacks);
     const uint64_t partial = cls.cell(Cell::partial_bound);
-    // The population gate forced scans on a class that keeps a steady keyed
-    // population: turn the probe back on for it. Guard against one-off
-    // warm-up scans by requiring the gate to be the dominant fallback cause.
-    if (gated > 0 && gated >= partial) {
-      hint.min_population = 0;
-    }
-    // Prefix index: scans dominated by partially-bound dispatches, where one
-    // tracked key variable was bound in most of them. Pick the most-bound
-    // variable (lowest position wins ties — deterministic).
-    if (partial > 0 && partial >= gated) {
+    if (partial > 0 && partial >= scans - std::min(scans, partial)) {
       size_t best = kMaxKeyVars;
       uint64_t best_count = 0;
       const size_t tracked = std::min(cls.key_vars.size(), kMaxKeyVars);
@@ -65,16 +93,15 @@ PlanHints HintsFromSnapshot(const Snapshot& snapshot) {
 
 std::string HintsToText(const PlanHints& hints) {
   std::string out;
-  out.append("# tesla plan hints v1 — emitted from a workload profile.\n");
-  out.append("# class <len>:<name> capacity=<n> min_population=<n> prefix_key_pos=<n>\n");
+  out.append("# tesla plan hints v2 — emitted from a workload profile.\n");
+  out.append("# class <len>:<name> capacity=<n> prefix_key_pos=<n>\n");
   for (const ClassHint& hint : hints.classes) {
     char buf[128];
     std::snprintf(buf, sizeof(buf), "class %zu:", hint.name.size());
     out.append(buf);
     out.append(hint.name);
-    std::snprintf(buf, sizeof(buf), " capacity=%" PRIu32 " min_population=%" PRId32
-                                    " prefix_key_pos=%" PRId32 "\n",
-                  hint.capacity, hint.min_population, hint.prefix_key_pos);
+    std::snprintf(buf, sizeof(buf), " capacity=%" PRIu32 " prefix_key_pos=%" PRId32 "\n",
+                  hint.capacity, hint.prefix_key_pos);
     out.append(buf);
   }
   return out;
@@ -82,45 +109,55 @@ std::string HintsToText(const PlanHints& hints) {
 
 Result<PlanHints> ParseHints(const std::string& text) {
   PlanHints hints;
-  size_t pos = 0;
+  size_t start = 0;
   int lineno = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
+  while (start < text.size()) {
+    size_t eol = text.find('\n', start);
     if (eol == std::string::npos) {
       eol = text.size();
     }
-    std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
+    const std::string_view line(text.data() + start, eol - start);
+    start = eol + 1;
     lineno++;
+    auto fail = [lineno](const char* message, size_t pos) {
+      return Error{message, lineno, static_cast<int>(pos) + 1};
+    };
     if (line.empty() || line[0] == '#') {
       continue;
     }
-    if (line.compare(0, 6, "class ") != 0) {
-      return Error{"plan hints: expected 'class' directive", lineno, 1};
+    if (line.substr(0, 6) != "class ") {
+      return fail("plan hints: expected 'class' directive", 0);
     }
-    size_t colon = line.find(':', 6);
-    if (colon == std::string::npos) {
-      return Error{"plan hints: missing name length prefix", lineno, 1};
+    size_t pos = 6;
+    size_t name_len = 0;
+    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9' && pos < 6 + 7) {
+      name_len = name_len * 10 + static_cast<size_t>(line[pos] - '0');
+      pos++;
     }
-    char* end = nullptr;
-    const unsigned long name_len = std::strtoul(line.c_str() + 6, &end, 10);
-    if (end != line.c_str() + colon || colon + 1 + name_len > line.size()) {
-      return Error{"plan hints: bad name length", lineno, 1};
+    if (pos == 6 || pos >= line.size() || line[pos] != ':' ||
+        name_len > line.size() - pos - 1) {
+      return fail("plan hints: bad name length", pos);
     }
     ClassHint hint;
-    hint.name = line.substr(colon + 1, name_len);
-    const char* rest = line.c_str() + colon + 1 + name_len;
-    long capacity = 0, min_population = -1, prefix = -1;
-    if (std::sscanf(rest, " capacity=%ld min_population=%ld prefix_key_pos=%ld",
-                    &capacity, &min_population, &prefix) != 3) {
-      return Error{"plan hints: malformed fields after class name", lineno, 1};
+    hint.name = std::string(line.substr(pos + 1, name_len));
+    pos += 1 + name_len;
+    if (const size_t v1 = line.find(" min_population=", pos); v1 != std::string_view::npos) {
+      return fail("plan hints: min_population is a v1 field; the index population gate is "
+                  "fixed — re-emit the hints from the profile",
+                  v1 + 1);
     }
-    if (capacity < 0 || capacity > (1 << 20) ||
-        prefix >= static_cast<long>(kMaxKeyVars)) {
-      return Error{"plan hints: field out of range", lineno, 1};
+    long capacity = 0, prefix = -1;
+    if (const char* error = ParseField(line, &pos, " capacity=", 0, 1 << 20, &capacity)) {
+      return fail(error, pos);
+    }
+    if (const char* error = ParseField(line, &pos, " prefix_key_pos=", -1,
+                                       static_cast<long>(kMaxKeyVars) - 1, &prefix)) {
+      return fail(error, pos);
+    }
+    if (pos != line.size()) {
+      return fail("plan hints: trailing bytes after prefix_key_pos", pos);
     }
     hint.capacity = static_cast<uint32_t>(capacity);
-    hint.min_population = static_cast<int32_t>(min_population);
     hint.prefix_key_pos = static_cast<int32_t>(prefix);
     hints.classes.push_back(std::move(hint));
   }

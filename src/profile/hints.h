@@ -7,13 +7,10 @@
 //     context's SlotPool from the sum of capacity hints (replacing the
 //     single instances_per_context knob with data): any context can host any
 //     class's instances, so the sum is the safe per-pool bound.
-//   * min_population — per-class override of the index_min_population gate.
-//     A class whose profile shows the gate forcing scans on a steady
-//     population gets the probe turned back on.
 //   * prefix_key_pos — position (in the class's ascending-variable key
-//     order) of the key variable to build a secondary prefix index on, or -1.
-//     Chosen for classes whose scans are dominated by partially-bound
-//     dispatches that do bind this variable.
+//     order) of the one key variable to key the class's instance index on,
+//     or -1 for all of them. Chosen for classes whose scans are dominated by
+//     partially-bound dispatches that do bind this variable.
 //
 // Hints travel as a line-oriented text file (one class per line) emitted by
 // `tesla-trace profile --hints-out` / `mac_audit --profile-out` and read
@@ -36,10 +33,8 @@ struct ClassHint {
   // Expected live-instance fan-out (0 = no hint; plan falls back to the
   // instances_per_context share).
   uint32_t capacity = 0;
-  // Per-class index_min_population override (negative = keep the global
-  // knob; 0 probes unconditionally).
-  int32_t min_population = -1;
-  // Secondary prefix-index key position, or -1 for none.
+  // Position of the key variable the instance index is keyed on, or -1
+  // for the full key.
   int32_t prefix_key_pos = -1;
 };
 
@@ -61,9 +56,14 @@ struct PlanHints {
 // snapshot's contents). Classes that never dispatched get no hint line.
 PlanHints HintsFromSnapshot(const Snapshot& snapshot);
 
-// Text round-trip. Format, one class per line (# comments, blank lines ok):
-//   class <name-length>:<name> capacity=<n> min_population=<n> prefix_key_pos=<n>
-// The length prefix keeps names with spaces unambiguous.
+// Text round-trip. Format v2, one class per line (# comments, blank lines
+// ok):
+//   class <name-length>:<name> capacity=<n> prefix_key_pos=<n>
+// The length prefix keeps names with spaces unambiguous. Parsing is strict:
+// decimal digits only (a '-' only before prefix_key_pos's 1), values in
+// range, nothing after the last field; anything else — a v1 line with its
+// min_population field included — is an Error carrying the line and
+// column.
 std::string HintsToText(const PlanHints& hints);
 Result<PlanHints> ParseHints(const std::string& text);
 

@@ -9,7 +9,7 @@
 // (~ns/event) when RuntimeOptions::profile is on. A profile rides the
 // TSLATRC capture (its profile section), merges deterministically across fleet
 // shards, and feeds back into Register() as PlanHints — per-class capacity
-// and secondary-index decisions derived from data instead of global knobs.
+// and index-key decisions derived from data instead of global knobs.
 //
 // This header names the profile view of the cell schema
 // (metrics/metrics.h): its leading kCellCount cells, in wire order, plus the

@@ -200,7 +200,7 @@ std::string RenderReport(const Snapshot& snapshot) {
     }
     AppendF(&out, "  %-40s %12" PRIu64 " %10" PRIu64 " %10" PRIu64 " %10.1f %10" PRIu64 "\n",
             cls->name.c_str(), cls->cell(Cell::dispatches),
-            cls->cell(Cell::index_probes) + cls->cell(Cell::prefix_probes),
+            cls->cell(Cell::index_probes),
             cls->cell(Cell::scan_fallbacks), cls->MeanFanout(),
             cls->cell(Cell::fanout_peak));
   }
@@ -216,7 +216,7 @@ std::string RenderReport(const Snapshot& snapshot) {
     AppendF(&out, "  %s: %" PRIu64 " scans (%" PRIu64 " partial-bound, %" PRIu64
                   " under the population gate)\n",
             cls->name.c_str(), scans, cls->cell(Cell::partial_bound),
-            cls->cell(Cell::small_population));
+            scans - std::min(scans, cls->cell(Cell::partial_bound)));
     const size_t tracked = std::min(cls->key_vars.size(), kMaxKeyVars);
     for (size_t p = 0; p < tracked; p++) {
       if (cls->var_partial[p] == 0) {

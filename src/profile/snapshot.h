@@ -20,7 +20,7 @@ struct ClassProfile {
   std::vector<uint16_t> key_vars;
   uint64_t cells[kCellCount] = {};
   // Partial-binding attribution: var_partial[p] counts scan fallbacks where
-  // key variable p *was* bound (so a prefix index on it would have served).
+  // key variable p *was* bound (so an index keyed on it would have served).
   uint64_t var_partial[kMaxKeyVars] = {};
   // Linear-counting distinct-value sketches, one per tracked key variable.
   uint64_t sketch[kMaxKeyVars][kSketchWords] = {};
@@ -50,7 +50,7 @@ std::string ToJson(const Snapshot& snapshot);
 // tesla_profile_* Prometheus families (text exposition format 0.0.4).
 std::string ToPrometheus(const Snapshot& snapshot);
 // The operator report: classes ranked by dispatch volume, scan-fallback
-// offenders with the variable a prefix index would serve, capacity headroom.
+// offenders with the variable a prefix-keyed index would serve, capacity headroom.
 std::string RenderReport(const Snapshot& snapshot);
 
 }  // namespace tesla::profile

@@ -14,6 +14,12 @@ namespace {
 // producer cache stamped with an id can never alias a destroyed queue.
 std::atomic<uint64_t> next_queue_id{1};
 
+// A producer counter has one writer, its producer thread: a relaxed load
+// and store, never a locked RMW on the enqueue path.
+void BumpOwned(std::atomic<uint64_t>& counter) {
+  counter.store(counter.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
 // Thread-CPU time, the basis of ConsumerStats::busy_ns: actual dispatch
 // work, independent of how many consumers the machine can run at once —
 // total events / max per-consumer busy_ns is the drain throughput on the
@@ -200,15 +206,15 @@ EventQueue::Producer& EventQueue::RegisterProducer() {
 bool EventQueue::Enqueue(runtime::ThreadContext& ctx, const runtime::Event& event) {
   Producer& producer = LocalProducer();
   if (!running_.load(std::memory_order_acquire)) {
-    producer.rejected.fetch_add(1, std::memory_order_relaxed);
+    BumpOwned(producer.rejected);
     return false;
   }
   if (PushRecord(producer.ring, &ctx, event)) {
-    producer.enqueued.fetch_add(1, std::memory_order_relaxed);
+    BumpOwned(producer.enqueued);
     return true;
   }
   if (options_.on_full == QueueOptions::OnFull::kDrop) {
-    producer.dropped.fetch_add(1, std::memory_order_relaxed);
+    BumpOwned(producer.dropped);
     rt_.AccountQueueDrops(1);
     return true;  // taken by policy: dropped, never dispatched inline
   }
@@ -216,14 +222,14 @@ bool EventQueue::Enqueue(runtime::ThreadContext& ctx, const runtime::Event& even
   // event) if the queue stops while we wait, so Stop() can never deadlock
   // against a blocked producer.
   while (true) {
-    producer.blocked_spins.fetch_add(1, std::memory_order_relaxed);
+    BumpOwned(producer.blocked_spins);
     std::this_thread::yield();
     if (!running_.load(std::memory_order_acquire)) {
-      producer.rejected.fetch_add(1, std::memory_order_relaxed);
+      BumpOwned(producer.rejected);
       return false;
     }
     if (PushRecord(producer.ring, &ctx, event)) {
-      producer.enqueued.fetch_add(1, std::memory_order_relaxed);
+      BumpOwned(producer.enqueued);
       return true;
     }
   }

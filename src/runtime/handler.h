@@ -35,9 +35,6 @@ class EventHandler {
                             automata::StateSet from, uint16_t symbol, automata::StateSet to) {}
   virtual void OnAccept(const ClassInfo& cls, const Instance& instance) {}
   virtual void OnViolation(const ClassInfo& cls, const Violation& violation) {}
-  // Non-fatal runtime degradations (e.g. dropped incallstack() site variants)
-  // that are counted in RuntimeStats but deserve one loud notice.
-  virtual void OnWarning(const ClassInfo& cls, const std::string& message) {}
 };
 
 // Writes one line per event to stderr (gated by the caller wiring it up only
@@ -50,7 +47,6 @@ class StderrHandler : public EventHandler {
                     uint16_t symbol, automata::StateSet to) override;
   void OnAccept(const ClassInfo& cls, const Instance& instance) override;
   void OnViolation(const ClassInfo& cls, const Violation& violation) override;
-  void OnWarning(const ClassInfo& cls, const std::string& message) override;
 };
 
 // Aggregates transition counts per (class, source state-set, symbol): the

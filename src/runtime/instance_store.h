@@ -16,17 +16,19 @@
 // contract).
 //
 // KeyIndex is a compact open-addressing hash map from an instance's *key
-// tuple* — the values of the class's key variables, those bound by clone
-// events (computed per class at plan-compile time) — to a chain of slots
-// threaded through InstanceStore::next(). An event whose bindings cover
-// exactly the key variables probes one bucket instead of scanning all
-// instances; instances missing a key variable (the (∗) wildcard and partial
-// bindings) stay in a short unkeyed tail. Buckets are cleared wholesale on
-// bound cleanup, never element-by-element, which keeps coherence trivial.
+// tuple* — the values of the class's index variables (computed per class at
+// plan-compile time: the variables clone events bind, or the one a profile
+// hint names) — to a chain of slots threaded through InstanceStore::next().
+// An event whose bindings cover the index variables walks one bucket instead
+// of scanning all instances; instances missing an index variable (the (∗)
+// wildcard and partial bindings) stay in a short unkeyed tail. Buckets are
+// cleared wholesale on bound cleanup, never element-by-element, which keeps
+// coherence trivial.
 #ifndef TESLA_RUNTIME_INSTANCE_STORE_H_
 #define TESLA_RUNTIME_INSTANCE_STORE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -39,14 +41,19 @@ namespace tesla::runtime {
 
 inline constexpr uint32_t kNoSlot = SlotPool::kNoSlot;
 
+// The live population at which a class's instance index is built and
+// probed. Below it, hashing the key tuple costs more than walking the
+// handful of live instances (BENCH_instances.json puts the crossover
+// between 1 and 10), so every dispatch scans and nothing is filed.
+inline constexpr size_t kIndexMinPopulation = 8;
+
 class InstanceStore {
  public:
   explicit InstanceStore(size_t capacity)
       : pool_(capacity),
         hot_(capacity),
         values_(capacity),
-        next_(capacity, kNoSlot),
-        next2_(capacity, kNoSlot) {}
+        next_(capacity, kNoSlot) {}
 
   InstanceStore(const InstanceStore&) = delete;
   InstanceStore& operator=(const InstanceStore&) = delete;
@@ -61,7 +68,6 @@ class InstanceStore {
     hot_[slot] = InstanceHot{};
     values_[slot] = {};
     next_[slot] = kNoSlot;
-    next2_[slot] = kNoSlot;
     return slot;
   }
 
@@ -78,10 +84,6 @@ class InstanceStore {
   // Bucket-chain link (owned by the class's KeyIndex).
   uint32_t& next(uint32_t slot) { return next_[slot]; }
   uint32_t next(uint32_t slot) const { return next_[slot]; }
-  // Second bucket-chain link, for the profile-hinted secondary prefix index
-  // (an instance can sit in both the full-key chain and a prefix chain).
-  uint32_t& next2(uint32_t slot) { return next2_[slot]; }
-  uint32_t next2(uint32_t slot) const { return next2_[slot]; }
 
   void Bind(uint32_t slot, uint16_t var, int64_t value) {
     hot_[slot].bound_mask |= 1u << var;
@@ -95,7 +97,6 @@ class InstanceStore {
     hot_[slot].bound_mask = instance.bound_mask;
     values_[slot] = instance.values;
     next_[slot] = kNoSlot;
-    next2_[slot] = kNoSlot;
   }
 
   // AoS view of a slot, for handler callbacks and violation reports.
@@ -142,8 +143,7 @@ class InstanceStore {
   SlotPool pool_;
   std::vector<InstanceHot> hot_;
   std::vector<std::array<int64_t, kMaxVariables>> values_;  // out-of-line
-  std::vector<uint32_t> next_;   // bucket chains, threaded per slot
-  std::vector<uint32_t> next2_;  // secondary (prefix-index) chains
+  std::vector<uint32_t> next_;  // bucket chains, threaded per slot
 };
 
 // Hashes a key tuple (the values of a class's key variables, in ascending

@@ -58,20 +58,13 @@ struct RuntimeOptions {
   // Ablation: step the determinised DFA instead of simulating NFA state sets.
   bool use_dfa = false;
 
-  // Binding-keyed instance index: events whose bindings cover a class's key
-  // variables probe a per-class hash index (one bucket visit, O(matching))
-  // instead of scanning every live instance twice (O(live)). Off reproduces
-  // the naive scan; the differential tests drive both modes through
-  // identical schedules and require event-for-event agreement.
+  // Binding-keyed instance index: once a class's live population reaches
+  // kIndexMinPopulation (runtime/instance_store.h), events whose bindings
+  // cover its index key probe a per-class hash index (one bucket visit,
+  // O(matching)) instead of scanning every live instance twice (O(live)).
+  // Off reproduces the naive scan; the differential tests drive both modes
+  // through identical schedules and require event-for-event agreement.
   bool instance_index = true;
-
-  // Below this live-instance population, a keyed class skips the index
-  // probe and falls through to the flat chain walk: hashing the key tuple
-  // costs more than scanning a handful of instances (BENCH_instances.json
-  // put the crossover between 1 and 10 live instances). Counted as
-  // RuntimeStats::index_scans. 0 probes unconditionally; the crossover test
-  // checks the probe decision stays monotone in the population.
-  size_t index_min_population = 8;
 
   // Step-function execution tier (see StepTier). The default is the fast
   // one: per-class specialised kernels, compiled at Register() time.
@@ -123,11 +116,10 @@ struct RuntimeOptions {
   // Profile-guided plan hints (see profile/hints.h), typically loaded from a
   // prior run's `--profile-out` file. Consumed at Register() time: per-class
   // SlotPool capacity hints size each context's pool (replacing the single
-  // instances_per_context knob with data), per-class min_population overrides
-  // re-enable the index probe, and prefix_key_pos builds a secondary
-  // prefix-key index for classes whose profile shows partially-bound scan
-  // fallbacks. Unknown class names are ignored (the profile may cover more
-  // automata than this manifest registers).
+  // instances_per_context knob with data), and prefix_key_pos keys the
+  // class's instance index on one variable for classes whose profile shows
+  // partially-bound scan fallbacks. Unknown class names are ignored (the
+  // profile may cover more automata than this manifest registers).
   profile::PlanHints plan_hints;
 
   MemoryReader memory_reader;

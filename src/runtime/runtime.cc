@@ -423,30 +423,26 @@ void Runtime::CompilePlan() {
   std::vector<std::vector<Candidate>> field_cands(symbols);
 
   for (CompiledClass& cls : classes_) {
-    // Key-variable analysis: the variables clone events can bind form the
-    // instance index's key tuple (kept as an ascending list for extraction).
-    cls.key_mask = cls.automaton.CloneBoundMask();
+    // Key-variable analysis: the variables clone events can bind, as an
+    // ascending list. They key the instance index unless a plan hint names
+    // one of them (prefix_key_pos); a position outside the class's key set
+    // (stale profile, renamed class) is ignored rather than applied wrong.
+    const uint32_t key_mask = cls.automaton.CloneBoundMask();
     cls.key_count = 0;
     for (uint8_t var = 0; var < kMaxVariables; var++) {
-      if ((cls.key_mask & (1u << var)) != 0) {
+      if ((key_mask & (1u << var)) != 0) {
         cls.key_vars[cls.key_count++] = var;
       }
     }
-    // Plan-hint resolution: the per-class index gate (hint override or the
-    // global knob) and the profile-chosen secondary prefix index. A prefix
-    // position outside the class's key set (stale profile, renamed class)
-    // is ignored rather than applied wrong.
-    cls.min_population = static_cast<uint32_t>(options_.index_min_population);
-    cls.prefix_pos = CompiledClass::kNoPrefix;
-    cls.prefix_var = 0;
+    cls.index_mask = key_mask;
+    cls.index_first = 0;
+    cls.index_count = cls.key_count;
     if (const profile::ClassHint* hint = options_.plan_hints.Find(cls.automaton.name)) {
-      if (hint->min_population >= 0) {
-        cls.min_population = static_cast<uint32_t>(hint->min_population);
-      }
       if (hint->prefix_key_pos >= 0 && hint->prefix_key_pos < cls.key_count &&
           static_cast<size_t>(hint->prefix_key_pos) < profile::kMaxKeyVars) {
-        cls.prefix_pos = static_cast<uint8_t>(hint->prefix_key_pos);
-        cls.prefix_var = cls.key_vars[cls.prefix_pos];
+        cls.index_first = static_cast<uint8_t>(hint->prefix_key_pos);
+        cls.index_count = 1;
+        cls.index_mask = 1u << cls.key_vars[cls.index_first];
       }
     }
     cls.bound_slot =
@@ -639,12 +635,6 @@ void Runtime::CompilePlan() {
     }
     pool_capacity_hint_ = std::clamp<size_t>(total, 64, kMaxInstancesPerContext);
   }
-
-  // Once-only index-gate warning state: one zeroed tally per class.
-  gate_scan_count_ = classes_.size();
-  gate_scans_ = gate_scan_count_ != 0
-                    ? std::make_unique<std::atomic<uint32_t>[]>(gate_scan_count_)
-                    : nullptr;
 
   // Pass 5: compile each class's step program (runtime/step.h). Recompiled
   // for every class on every Register(): classes_ may have reallocated, so
@@ -887,13 +877,10 @@ void Runtime::ProfileDispatch(std::atomic<uint64_t>* base, const CompiledClass& 
       }
     }
   }
-  if (route == Cell::small_population) {
-    Shard::AddAt(base, Cell::small_population);
-    NoteGatedScan(cls.id);
-  } else if (route == Cell::partial_bound) {
+  if (route == Cell::partial_bound) {
     Shard::AddAt(base, Cell::partial_bound);
-    // Which tracked key variables *were* bound: the prefix-index signal —
-    // a secondary index on one of these would have served this dispatch.
+    // Which tracked key variables *were* bound: the prefix-hint signal —
+    // an index keyed on one of these would have served this dispatch.
     for (size_t p = 0; p < tracked; p++) {
       const uint8_t var = cls.key_vars[p];
       for (size_t b = 0; b < bindings.count; b++) {
@@ -903,32 +890,6 @@ void Runtime::ProfileDispatch(std::atomic<uint64_t>* base, const CompiledClass& 
         }
       }
     }
-  }
-}
-
-void Runtime::NoteGatedScan(uint32_t class_id) {
-  if (gate_scans_ == nullptr || class_id >= gate_scan_count_) {
-    return;
-  }
-  // Saturating tally: past the threshold the hot path pays one relaxed load
-  // instead of an RMW per gated dispatch (the warning can no longer fire).
-  if (gate_scans_[class_id].load(std::memory_order_relaxed) >= kGateWarnThreshold) {
-    return;
-  }
-  const uint32_t tally =
-      gate_scans_[class_id].fetch_add(1, std::memory_order_relaxed) + 1;
-  if (tally != kGateWarnThreshold || handlers_.empty()) {
-    return;  // fires exactly once, past the warm-up threshold
-  }
-  const CompiledClass& cls = classes_[class_id];
-  const std::string message =
-      "index_min_population (" + std::to_string(cls.min_population) +
-      ") keeps disabling the key probe: " + std::to_string(kGateWarnThreshold) +
-      " dispatches fell back to a full scan; consider a plan hint with "
-      "min_population=0 for this class";
-  ClassInfo info{class_id, &cls.automaton};
-  for (EventHandler* handler : handlers_) {
-    handler->OnWarning(info, message);
   }
 }
 
@@ -1211,22 +1172,21 @@ void Runtime::ProcessSiteEvent(ThreadContext& ctx, const Event& event) {
       active = active && epoch.open && state.epoch == epoch.epoch;
     }
     if (active && !state.instances.empty()) {
-      const bool indexed = options_.instance_index && fast_cls.key_mask != 0;
+      const bool indexed = options_.instance_index && fast_cls.index_mask != 0;
       if (indexed) {
-        // An unbound event cannot cover the key tuple: always a scan.
+        // An unbound event cannot cover the index key: always a scan.
         Bump(ctx.stats_.index_scans);
       }
       if (metrics::Shard* shard = ctx.obs_) {
         // Same attribution the generic route computes for an unbound site:
-        // gated below the crossover population, partially bound above it —
-        // the determinism differential depends on the two paths agreeing.
-        // (No latency sample: this is the sub-30 ns flattened path.)
+        // a plain fallback below kIndexMinPopulation, partially bound at or
+        // above it — the determinism differential depends on the two paths
+        // agreeing. (No latency sample: this is the sub-30 ns flattened path.)
         static constexpr BindingSet kUnbound{};
         metrics::Cell route = metrics::Cell::dispatches;
         if (indexed) {
-          route = state.instances.size() < fast_cls.min_population
-                      ? metrics::Cell::small_population
-                      : metrics::Cell::partial_bound;
+          route = state.instances.size() < kIndexMinPopulation ? metrics::Cell::scan_fallbacks
+                                                               : metrics::Cell::partial_bound;
         }
         RecordDispatch(*shard, fast_cls, state, kUnbound, route);
       }
@@ -1818,51 +1778,29 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
                                   ClassState& state, const BindingSet& bindings,
                                   std::span<const uint16_t> symbols) {
   const uint32_t class_id = cls.id;
-  // Route decision, made once: the cell naming the route is what
-  // RecordDispatch stores (Cell::dispatches = plain scan, nothing to
-  // attribute).
+  // Route decision, made once: probe iff the population has reached
+  // kIndexMinPopulation — the index is built exactly then (IndexInstance) —
+  // and the event binds every index variable; else scan, keeping the index
+  // coherent through IndexInstance. `route` is the cell RecordDispatch
+  // stores (Cell::dispatches = plain scan, nothing to attribute).
   metrics::Cell route = metrics::Cell::dispatches;
-  if (options_.instance_index && cls.key_mask != 0) {
-    if (state.instances.size() < cls.min_population) {
-      // Below the crossover population, hashing the key tuple costs more
-      // than walking the handful of live instances (BENCH_instances.json);
-      // fall through to the scan. The index is not even built yet: it is
-      // built the moment the population reaches the gate (IndexInstance),
-      // so the probe path is valid exactly when this test lets it run.
-      // Per-class since plan hints can override the knob (min_population=0
-      // probes always).
+  if (options_.instance_index && cls.index_mask != 0) {
+    if (state.instances.size() < kIndexMinPopulation) {
       Bump(storage.stats_.index_scans);
-      route = metrics::Cell::small_population;
+      route = metrics::Cell::scan_fallbacks;
+    } else if ((BindingsVarMask(bindings.entries, bindings.count) & cls.index_mask) ==
+               cls.index_mask) {
+      Bump(storage.stats_.index_probes);
+      route = metrics::Cell::index_probes;
     } else {
-      const uint32_t bound = BindingsVarMask(bindings.entries, bindings.count);
-      if (bound == cls.key_mask) {
-        Bump(storage.stats_.index_probes);
-        route = metrics::Cell::index_probes;
-      } else if (cls.prefix_pos != CompiledClass::kNoPrefix &&
-                 ((bound >> cls.prefix_var) & 1) != 0) {
-        // Partially bound, but the profile-hinted prefix variable is bound:
-        // the secondary index narrows the walk to one prefix bucket plus
-        // the short prefix-unbound tail.
-        Bump(storage.stats_.index_probes);
-        route = metrics::Cell::prefix_probes;
-      } else {
-        // An event binding a strict subset (or superset) of the key
-        // variables cannot be answered by one bucket; fall back to the
-        // scan. The index stays coherent because the scan's clones go
-        // through IndexInstance.
-        Bump(storage.stats_.index_scans);
-        route = metrics::Cell::partial_bound;
-      }
+      Bump(storage.stats_.index_scans);
+      route = metrics::Cell::partial_bound;
     }
   }
   auto run = [&]() {
-    if (route == metrics::Cell::index_probes) {
-      return DispatchIndexed(storage, cls, state, bindings, symbols);
-    }
-    if (route == metrics::Cell::prefix_probes) {
-      return DispatchPrefix(storage, cls, state, bindings, symbols);
-    }
-    return DispatchScan(storage, cls, state, bindings, symbols);
+    return route == metrics::Cell::index_probes
+               ? DispatchProbe(storage, cls, state, bindings, symbols)
+               : DispatchScan(storage, cls, state, bindings, symbols);
   };
   metrics::Shard* shard = storage.obs_;
   if (shard == nullptr) {
@@ -1890,111 +1828,10 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
   return stepped;
 }
 
-// Fast path: the event binds exactly the class's key variables, so the
-// exact-match set of the naive pass-1 is precisely one index bucket, and —
-// when that bucket is empty — every possible clone parent of pass-2 sits in
-// the unkeyed tail (a fully-keyed instance consistent with the bindings
-// would carry the probed tuple and hence be in the bucket). An event
-// touching one socket therefore steps O(1) instances no matter how many
-// other sockets are live.
-bool Runtime::DispatchIndexed(ThreadContext& storage, const CompiledClass& cls,
-                              ClassState& state, const BindingSet& bindings,
-                              std::span<const uint16_t> symbols) {
-  int64_t key[kMaxVariables];
-  for (uint8_t i = 0; i < cls.key_count; i++) {
-    for (size_t b = 0; b < bindings.count; b++) {
-      if (bindings.entries[b].var == cls.key_vars[i]) {
-        key[i] = bindings.entries[b].value;
-        break;
-      }
-    }
-  }
-  const uint64_t hash = HashKeyTuple(key, cls.key_count);
-  auto key_equals = [&](uint32_t slot) {
-    const auto& values = storage.store_.values(slot);
-    for (uint8_t i = 0; i < cls.key_count; i++) {
-      if (values[cls.key_vars[i]] != key[i]) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Pass 1 (exact matches) = the probed bucket.
-  uint32_t head = state.index.Find(hash, key_equals);
-  if (head != kNoSlot) {
-    bool any_step = false;
-    for (uint32_t slot = head; slot != kNoSlot; slot = storage.store_.next(slot)) {
-      if (StepSlot(cls, storage, slot, symbols)) {
-        any_step = true;
-      }
-    }
-    return any_step;
-  }
-
-  // Pass 2 (paper §4.4.1 "Clone"): parents come from the unkeyed tail only.
-  // Clones bind every key variable, so they land in the probed bucket — the
-  // tail never grows while we walk it, and intra-event deduplication is a
-  // walk of the bucket's fresh chain.
-  bool any_step = false;
-  ClassInfo info{cls.id, &cls.automaton};
-  const size_t unkeyed_count = state.unkeyed.size();
-  uint32_t new_head = kNoSlot;
-  for (size_t i = 0; i < unkeyed_count; i++) {
-    const uint32_t parent = state.unkeyed[i];
-    if (!storage.store_.ConsistentWith(parent, bindings.entries, bindings.count)) {
-      continue;
-    }
-    Instance candidate = storage.store_.Materialize(parent);
-    for (size_t b = 0; b < bindings.count; b++) {
-      candidate.Bind(bindings.entries[b].var, bindings.entries[b].value);
-    }
-    bool duplicate = false;
-    for (uint32_t s = new_head; s != kNoSlot; s = storage.store_.next(s)) {
-      if (storage.store_.bound_mask(s) == candidate.bound_mask &&
-          storage.store_.values(s) == candidate.values) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) {
-      continue;
-    }
-    if (!StepInstance(cls, storage, candidate, symbols)) {
-      continue;  // the clone could not consume the event; discard it
-    }
-    uint32_t slot = storage.store_.Allocate();
-    if (slot == kNoSlot) {
-      Bump(storage.stats_.overflows);
-      ReportViolation(cls.id, ViolationKind::kOverflow, "no space to clone instance");
-      continue;
-    }
-    storage.store_.Assign(slot, candidate);
-    state.instances.push_back(slot);
-    storage.store_.next(slot) = state.index.InsertHead(hash, key_equals, slot);
-    if (cls.prefix_pos != CompiledClass::kNoPrefix) {
-      // The clone binds every key variable, the prefix included: file it in
-      // the secondary index too (this path bypasses IndexInstance).
-      IndexSecondary(storage, cls, state, slot);
-    }
-    new_head = slot;
-    any_step = true;
-    Bump(storage.stats_.instances_cloned);
-    BumpClass(storage, cls.id, metrics::Cell::instances_cloned);
-    if (!handlers_.empty()) {
-      const Instance parent_view = storage.store_.Materialize(parent);
-      for (EventHandler* handler : handlers_) {
-        handler->OnClone(info, parent_view, candidate);
-      }
-    }
-  }
-  return any_step;
-}
-
-// Naive scan (the seed's algorithm, now over SoA slots): used when the index
-// is disabled, the class binds no variables, the population is below the
-// index gate, or the event's bindings do not cover the key tuple. Keeps the
-// index coherent (or builds it at the gate) for later fast-path events.
+// The scan (the seed's algorithm, now over SoA slots): used when the index
+// is disabled, the class binds no variables, the population is below
+// kIndexMinPopulation, or the event leaves an index variable unbound. Keeps
+// the index coherent (or builds it at the gate) for later probes.
 bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                            const BindingSet& bindings, std::span<const uint16_t> symbols) {
   if (bindings.count == 0 && handlers_.empty()) {
@@ -2033,157 +1870,42 @@ bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, Cla
     return any_step;
   }
 
-  // Pass 2: clone consistent instances, binding the event's new values
-  // (paper §4.4.1 "Clone"). The parent — typically (∗) — is retained.
-  ClassInfo info{cls.id, &cls.automaton};
-  size_t existing = state.instances.size();
-  for (size_t i = 0; i < existing; i++) {
-    const uint32_t parent = state.instances[i];
-    if (!storage.store_.ConsistentWith(parent, bindings.entries, bindings.count)) {
-      continue;
-    }
-    Instance candidate = storage.store_.Materialize(parent);
+  // Pass 2: every live instance is a candidate parent.
+  return ClonePass(storage, cls, state, bindings, symbols, state.instances);
+}
+
+// The probe: the event binds every index variable, so pass 1's exact
+// matches all carry the event's index tuple and sit in its bucket, and pass
+// 2's consistent parents either carry the tuple too (the bucket) or leave an
+// index variable unbound (the unkeyed tail). Clones bind every index
+// variable, so they join the bucket at its head — behind this walk — and
+// never the tail. An event touching one socket therefore steps O(1)
+// instances no matter how many other sockets are live.
+bool Runtime::DispatchProbe(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
+                            const BindingSet& bindings, std::span<const uint16_t> symbols) {
+  const uint8_t* index_vars = cls.index_vars();
+  int64_t key[kMaxVariables];
+  for (uint8_t i = 0; i < cls.index_count; i++) {
     for (size_t b = 0; b < bindings.count; b++) {
-      candidate.Bind(bindings.entries[b].var, bindings.entries[b].value);
-    }
-    // Deduplicate against instances created earlier in this event.
-    bool duplicate = false;
-    for (size_t j = existing; j < state.instances.size(); j++) {
-      const uint32_t other = state.instances[j];
-      if (storage.store_.bound_mask(other) == candidate.bound_mask &&
-          storage.store_.values(other) == candidate.values) {
-        duplicate = true;
+      if (bindings.entries[b].var == index_vars[i]) {
+        key[i] = bindings.entries[b].value;
         break;
       }
     }
-    if (duplicate) {
-      continue;
-    }
-    if (!StepInstance(cls, storage, candidate, symbols)) {
-      continue;  // the clone could not consume the event; discard it
-    }
-    uint32_t slot = storage.store_.Allocate();
-    if (slot == kNoSlot) {
-      Bump(storage.stats_.overflows);
-      ReportViolation(cls.id, ViolationKind::kOverflow, "no space to clone instance");
-      continue;
-    }
-    storage.store_.Assign(slot, candidate);
-    state.instances.push_back(slot);
-    IndexInstance(storage, cls, state, slot);
-    any_step = true;
-    Bump(storage.stats_.instances_cloned);
-    BumpClass(storage, cls.id, metrics::Cell::instances_cloned);
-    if (!handlers_.empty()) {
-      const Instance parent_view = storage.store_.Materialize(parent);
-      for (EventHandler* handler : handlers_) {
-        handler->OnClone(info, parent_view, candidate);
-      }
-    }
   }
-  return any_step;
-}
+  const uint32_t head =
+      state.index.Find(HashKeyTuple(key, cls.index_count), [&](uint32_t slot) {
+        return KeyEquals(storage.store_, cls, key, slot);
+      });
 
-void Runtime::IndexInstance(ThreadContext& storage, const CompiledClass& cls,
-                            ClassState& state, uint32_t slot) {
-  if (!options_.instance_index || cls.key_mask == 0) {
-    return;  // classes without key variables use the flat list only
-  }
-  if (state.indexed) {
-    FileSlot(storage, cls, state, slot);
-    return;
-  }
-  if (state.instances.size() < cls.min_population) {
-    return;  // below the gate every dispatch scans: nothing reads the index
-  }
-  // The population just reached the gate: build the index from the whole
-  // population in creation order, so every bucket chain (newest first) and
-  // tail comes out as eager filing would have left it.
-  state.indexed = true;
-  for (uint32_t live : state.instances) {
-    FileSlot(storage, cls, state, live);
-  }
-}
-
-void Runtime::FileSlot(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
-                       uint32_t slot) {
-  if ((storage.store_.bound_mask(slot) & cls.key_mask) != cls.key_mask) {
-    state.unkeyed.push_back(slot);  // wildcard / partially bound: linear tail
-  } else {
-    int64_t key[kMaxVariables];
-    const auto& values = storage.store_.values(slot);
-    for (uint8_t i = 0; i < cls.key_count; i++) {
-      key[i] = values[cls.key_vars[i]];
-    }
-    auto key_equals = [&](uint32_t other) {
-      const auto& other_values = storage.store_.values(other);
-      for (uint8_t i = 0; i < cls.key_count; i++) {
-        if (other_values[cls.key_vars[i]] != key[i]) {
-          return false;
-        }
-      }
-      return true;
-    };
-    storage.store_.next(slot) =
-        state.index.InsertHead(HashKeyTuple(key, cls.key_count), key_equals, slot);
-  }
-  if (cls.prefix_pos != CompiledClass::kNoPrefix) {
-    IndexSecondary(storage, cls, state, slot);
-  }
-}
-
-void Runtime::DropIndex(ClassState& state) {
-  if (!state.indexed) {
-    return;
-  }
-  state.indexed = false;
-  state.index.Clear();
-  state.unkeyed.clear();
-  state.index2.Clear();
-  state.tail2.clear();
-}
-
-void Runtime::IndexSecondary(ThreadContext& storage, const CompiledClass& cls,
-                             ClassState& state, uint32_t slot) {
-  if (!storage.store_.IsBound(slot, cls.prefix_var)) {
-    state.tail2.push_back(slot);  // prefix unbound: the (∗)-side tail
-    return;
-  }
-  const int64_t value = storage.store_.values(slot)[cls.prefix_var];
-  auto prefix_equals = [&](uint32_t other) {
-    return storage.store_.values(other)[cls.prefix_var] == value;
-  };
-  storage.store_.next2(slot) =
-      state.index2.InsertHead(HashKeyTuple(&value, 1), prefix_equals, slot);
-}
-
-// Partially-bound fast path over the profile-hinted secondary prefix index.
-// Semantically a DispatchScan: pass 1's exact matches all carry the prefix
-// binding, so they sit in the probed prefix bucket; pass 2's clone parents
-// are consistent instances — prefix bound to the probed value (the bucket)
-// or prefix unbound (tail2). Clones bind the prefix, so they land in the
-// bucket (insertion at the head cannot disturb the forward walk) and never
-// in tail2.
-bool Runtime::DispatchPrefix(ThreadContext& storage, const CompiledClass& cls,
-                             ClassState& state, const BindingSet& bindings,
-                             std::span<const uint16_t> symbols) {
-  int64_t prefix_value = 0;
-  for (size_t b = 0; b < bindings.count; b++) {
-    if (bindings.entries[b].var == cls.prefix_var) {
-      prefix_value = bindings.entries[b].value;
-      break;
-    }
-  }
-  auto prefix_equals = [&](uint32_t slot) {
-    return storage.store_.values(slot)[cls.prefix_var] == prefix_value;
-  };
-  const uint32_t head = state.index2.Find(HashKeyTuple(&prefix_value, 1), prefix_equals);
-
-  // Pass 1: exact matches live in the prefix bucket only.
+  // Pass 1: exact matches, from the bucket. An event that binds the index
+  // variables and nothing else (its bindings hold distinct variables)
+  // exact-matches every member, since each carries the tuple.
+  const bool key_only = bindings.count == cls.index_count;
   bool any_exact = false;
   bool any_step = false;
-  for (uint32_t slot = head; slot != kNoSlot; slot = storage.store_.next2(slot)) {
-    if (!storage.store_.ExactMatch(slot, bindings.entries, bindings.count)) {
+  for (uint32_t slot = head; slot != kNoSlot; slot = storage.store_.next(slot)) {
+    if (!key_only && !storage.store_.ExactMatch(slot, bindings.entries, bindings.count)) {
       continue;
     }
     any_exact = true;
@@ -2195,56 +1917,125 @@ bool Runtime::DispatchPrefix(ThreadContext& storage, const CompiledClass& cls,
     return any_step;
   }
 
-  // Pass 2 (paper §4.4.1 "Clone"): parents from the bucket and tail2,
-  // deduplicated against the clones this event already created (they are
-  // appended to `instances`, same as the scan path).
-  ClassInfo info{cls.id, &cls.automaton};
+  // Pass 2 must take parents in creation order, as the scan does: dedup
+  // keeps the first parent whose clone steps. The tail is in that order. A
+  // bucket member (its chain runs newest first) is a parent only when the
+  // event binds beyond the index; then the pass takes the whole population.
+  for (uint32_t slot = head; slot != kNoSlot; slot = storage.store_.next(slot)) {
+    if (storage.store_.ConsistentWith(slot, bindings.entries, bindings.count)) {
+      return ClonePass(storage, cls, state, bindings, symbols, state.instances);
+    }
+  }
+  return ClonePass(storage, cls, state, bindings, symbols, state.unkeyed);
+}
+
+// Paper §4.4.1 "Clone": the parent — typically (∗) — is retained, and the
+// clone binds the event's new values. Clones join state.instances behind
+// `existing`, so the walk stops where the population ended when it began.
+bool Runtime::ClonePass(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
+                        const BindingSet& bindings, std::span<const uint16_t> symbols,
+                        const std::vector<uint32_t>& parents) {
   const size_t existing = state.instances.size();
-  auto try_clone = [&](uint32_t parent) {
+  const size_t count = parents.size();
+  bool any_step = false;
+  for (size_t i = 0; i < count; i++) {
+    const uint32_t parent = parents[i];
     if (!storage.store_.ConsistentWith(parent, bindings.entries, bindings.count)) {
-      return;
+      continue;
     }
     Instance candidate = storage.store_.Materialize(parent);
     for (size_t b = 0; b < bindings.count; b++) {
       candidate.Bind(bindings.entries[b].var, bindings.entries[b].value);
     }
-    for (size_t j = existing; j < state.instances.size(); j++) {
+    bool duplicate = false;  // of a clone created earlier in this event
+    for (size_t j = existing; j < state.instances.size() && !duplicate; j++) {
       const uint32_t other = state.instances[j];
-      if (storage.store_.bound_mask(other) == candidate.bound_mask &&
-          storage.store_.values(other) == candidate.values) {
-        return;  // duplicate of a clone created earlier in this event
-      }
+      duplicate = storage.store_.bound_mask(other) == candidate.bound_mask &&
+                  storage.store_.values(other) == candidate.values;
     }
-    if (!StepInstance(cls, storage, candidate, symbols)) {
-      return;  // the clone could not consume the event; discard it
+    if (duplicate || !StepInstance(cls, storage, candidate, symbols)) {
+      continue;  // a duplicate, or the clone could not consume the event
     }
-    uint32_t slot = storage.store_.Allocate();
+    const uint32_t slot = storage.store_.Allocate();
     if (slot == kNoSlot) {
       Bump(storage.stats_.overflows);
       ReportViolation(cls.id, ViolationKind::kOverflow, "no space to clone instance");
-      return;
+      continue;
     }
     storage.store_.Assign(slot, candidate);
     state.instances.push_back(slot);
     IndexInstance(storage, cls, state, slot);
-    any_step = true;
     Bump(storage.stats_.instances_cloned);
     BumpClass(storage, cls.id, metrics::Cell::instances_cloned);
+    any_step = true;
     if (!handlers_.empty()) {
+      ClassInfo info{cls.id, &cls.automaton};
       const Instance parent_view = storage.store_.Materialize(parent);
       for (EventHandler* handler : handlers_) {
         handler->OnClone(info, parent_view, candidate);
       }
     }
-  };
-  for (uint32_t slot = head; slot != kNoSlot; slot = storage.store_.next2(slot)) {
-    try_clone(slot);
-  }
-  const size_t tail_count = state.tail2.size();
-  for (size_t i = 0; i < tail_count; i++) {
-    try_clone(state.tail2[i]);
   }
   return any_step;
+}
+
+void Runtime::IndexInstance(ThreadContext& storage, const CompiledClass& cls,
+                            ClassState& state, uint32_t slot) {
+  if (!options_.instance_index || cls.index_mask == 0) {
+    return;  // classes without key variables use the flat list only
+  }
+  if (state.indexed) {
+    FileSlot(storage, cls, state, slot);
+    return;
+  }
+  if (state.instances.size() < kIndexMinPopulation) {
+    return;  // below the gate every dispatch scans: nothing reads the index
+  }
+  // The population just reached the gate: build the index from the whole
+  // population in creation order, so every bucket chain (newest first) and
+  // the tail come out as eager filing would have left them.
+  state.indexed = true;
+  for (uint32_t live : state.instances) {
+    FileSlot(storage, cls, state, live);
+  }
+}
+
+void Runtime::FileSlot(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
+                       uint32_t slot) {
+  if ((storage.store_.bound_mask(slot) & cls.index_mask) != cls.index_mask) {
+    state.unkeyed.push_back(slot);  // wildcard / partially bound: linear tail
+    return;
+  }
+  const uint8_t* index_vars = cls.index_vars();
+  int64_t key[kMaxVariables];
+  const auto& values = storage.store_.values(slot);
+  for (uint8_t i = 0; i < cls.index_count; i++) {
+    key[i] = values[index_vars[i]];
+  }
+  storage.store_.next(slot) = state.index.InsertHead(
+      HashKeyTuple(key, cls.index_count),
+      [&](uint32_t other) { return KeyEquals(storage.store_, cls, key, other); }, slot);
+}
+
+bool Runtime::KeyEquals(const InstanceStore& store, const CompiledClass& cls, const int64_t* key,
+                        uint32_t slot) {
+  const auto& values = store.values(slot);
+  const uint8_t* index_vars = cls.index_vars();
+  for (uint8_t i = 0; i < cls.index_count; i++) {
+    if (values[index_vars[i]] != key[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Runtime::DropIndex(ClassState& state) {
+  if (!state.indexed) {
+    return;
+  }
+  state.indexed = false;
+  state.index.Clear();
+  state.unkeyed.clear();
 }
 
 bool Runtime::StepSlot(const CompiledClass& cls, ThreadContext& storage, uint32_t slot,
@@ -2416,11 +2207,6 @@ void StderrHandler::OnViolation(const ClassInfo& cls, const Violation& violation
   if (!violation.backtrace.empty()) {
     std::fprintf(stderr, "%s", violation.backtrace.c_str());
   }
-}
-
-void StderrHandler::OnWarning(const ClassInfo& cls, const std::string& message) {
-  std::fprintf(stderr, "tesla: [%s] warning: %s\n", cls.automaton->name.c_str(),
-               message.c_str());
 }
 
 }  // namespace tesla::runtime

@@ -107,17 +107,17 @@ struct TimedCell {
 // slots into the owning context's InstanceStore; `instances` is the full
 // population in creation order (the cleanup sweep and the naive scan walk
 // it), while the binding-keyed index partitions the same population into
-// keyed buckets (all key variables bound; chained through the store's
-// next() links) and the short unkeyed tail (the (∗) wildcard and partial
-// bindings — the only possible clone parents on the indexed fast path).
+// keyed buckets (every index variable bound — CompiledClass::index_mask;
+// chained through the store's next() links) and the short unkeyed tail (the
+// (∗) wildcard and partial bindings — with the bucket, the only possible
+// clone parents of a probe).
 //
 // The index is built lazily (IndexInstance): nothing is filed until the
-// population reaches the class's index gate (CompiledClass::min_population),
-// which is exactly when the route decision starts probing. `indexed` says the
-// index structures below are built and coherent; while it is false they are
-// all empty. The population only grows within one activation, so once built
-// the index stays built until ActivateClass/CleanupClass replace the
-// population wholesale.
+// population reaches kIndexMinPopulation, which is exactly when the route
+// decision starts probing. `indexed` says the index structures below are
+// built and coherent; while it is false they are empty. The population only
+// grows within one activation, so once built the index stays built until
+// ActivateClass/CleanupClass replace the population wholesale.
 struct ClassState {
   bool active = false;
   bool indexed = false;
@@ -125,13 +125,6 @@ struct ClassState {
   std::vector<uint32_t> instances;
   KeyIndex index;
   std::vector<uint32_t> unkeyed;
-  // Profile-hinted secondary prefix index (CompiledClass::prefix_pos): the
-  // same population partitioned by one key variable's value — instances with
-  // the prefix variable bound chain through the store's next2() links;
-  // instances without it (the (∗) wildcard) sit in the tail2 list. Empty for
-  // classes without a prefix hint.
-  KeyIndex index2;
-  std::vector<uint32_t> tail2;
   // Timed-clause cells, one per entry of the class automaton's `timed` list
   // (lazily sized on first observation; empty for untimed classes).
   std::vector<TimedCell> timed;
@@ -430,19 +423,18 @@ class Runtime {
     automata::StateSet initial_states = 0;
     uint32_t initial_dfa_state = 0;
     // Key-variable analysis (computed once per class in CompilePlan()): the
-    // variables clone events can bind, i.e. the instance index's key tuple.
-    // key_vars holds the same set as an ascending list for tuple extraction.
-    uint32_t key_mask = 0;
+    // variables clone events can bind, ascending — what the profile tracks
+    // and what the instance index keys on.
     uint8_t key_count = 0;
     std::array<uint8_t, kMaxVariables> key_vars{};
-    // Plan-hint resolution (CompilePlan): the index_min_population gate for
-    // this class (the global knob, or a PlanHints override), and the
-    // profile-chosen secondary prefix index — prefix_pos is the key_vars
-    // position (kNoPrefix: none), prefix_var the variable id it names.
-    static constexpr uint8_t kNoPrefix = 0xff;
-    uint32_t min_population = 0;
-    uint8_t prefix_pos = kNoPrefix;
-    uint8_t prefix_var = 0;
+    // The instance index's key (CompilePlan): the key variable a valid
+    // prefix_key_pos plan hint names, else all of key_vars — as a mask, and
+    // as the key_vars range index_vars() lists for tuple extraction.
+    // index_mask 0: the class is never indexed.
+    uint32_t index_mask = 0;
+    uint8_t index_first = 0;
+    uint8_t index_count = 0;
+    const uint8_t* index_vars() const { return key_vars.data() + index_first; }
     // Every function/field symbol the class's patterns name (including the
     // bound's init/cleanup functions): the forensics filter for "events
     // relevant to this automaton".
@@ -672,41 +664,45 @@ class Runtime {
   void HandleEventLocked(ThreadContext& ctx, const Candidate& candidate,
                          const BindingSet& bindings);
   void HandleSiteEvent(ThreadContext& ctx, uint32_t class_id, const BindingSet& bindings);
-  // Shared instance-matching core: steps exact matches or clones consistent
-  // instances on any of `symbols`; returns true if any instance stepped.
-  // Routes to the index probe when the event's bindings cover the class's
-  // key variables, otherwise to the (semantics-identical) linear scan.
+  // Shared instance-matching core (paper §4.4.1's two passes): steps exact
+  // matches or, if there are none, clones consistent instances on any of
+  // `symbols`; returns true if any instance stepped. Probes the index when
+  // the population has reached kIndexMinPopulation and the event binds
+  // every index variable, otherwise runs the (semantics-identical) scan.
   bool DispatchToInstances(ThreadContext& ctx, uint32_t class_id, const BindingSet& bindings,
                            std::span<const uint16_t> symbols);
   bool DispatchToInstances(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                            const BindingSet& bindings, std::span<const uint16_t> symbols);
-  bool DispatchIndexed(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
-                       const BindingSet& bindings, std::span<const uint16_t> symbols);
   bool DispatchScan(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                     const BindingSet& bindings, std::span<const uint16_t> symbols);
-  // Partially-bound fast path via the profile-hinted secondary prefix index:
-  // the event binds the class's prefix variable (but not the full key
-  // tuple), so pass 1 walks one prefix bucket and pass 2's clone parents are
-  // the bucket plus the prefix-unbound tail2 — semantically identical to
-  // DispatchScan, O(bucket + tail2) instead of O(live).
-  bool DispatchPrefix(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
-                      const BindingSet& bindings, std::span<const uint16_t> symbols);
+  // The probe: pass 1 over the event's index bucket, pass 2 over the
+  // unkeyed tail — O(bucket + tail) instead of O(live) — unless a bucket
+  // member is a parent too (the event binds beyond the index).
+  bool DispatchProbe(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
+                     const BindingSet& bindings, std::span<const uint16_t> symbols);
+  // Pass 2, shared by the scan and the probe: walks `parents` (the whole
+  // population or the unkeyed tail, both in creation order) and clones each
+  // one that is consistent with `bindings`, whose clone is no duplicate of
+  // one this event already made and consumes the event. Returns true if a
+  // clone was stored.
+  bool ClonePass(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
+                 const BindingSet& bindings, std::span<const uint16_t> symbols,
+                 const std::vector<uint32_t>& parents);
 
   // Called after a freshly created slot was appended to `instances`. With
   // the index built, files the slot under the class's index partition
-  // (keyed bucket or unkeyed tail, plus the prefix index for hinted
-  // classes). Before that, files nothing until the population reaches the
-  // class's gate, then builds the whole index from `instances` (FileSlot in
-  // creation order — the same chains eager filing would have made).
+  // (keyed bucket or unkeyed tail). Before that, files nothing until the
+  // population reaches kIndexMinPopulation, then builds the whole index from
+  // `instances` (FileSlot in creation order — the same chains eager filing
+  // would have made).
   void IndexInstance(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                      uint32_t slot);
   void FileSlot(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                 uint32_t slot);
-  // Files a slot under the class's secondary prefix-index partition (prefix
-  // bucket through next2(), or the prefix-unbound tail2). Only called for
-  // classes with a prefix hint (cls.prefix_pos != kNoPrefix).
-  void IndexSecondary(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
-                      uint32_t slot);
+  // Whether stored `slot` carries the index tuple `key` (values of
+  // cls.index_vars(), in order) — the bucket-identity test of KeyIndex.
+  static bool KeyEquals(const InstanceStore& store, const CompiledClass& cls, const int64_t* key,
+                        uint32_t slot);
   // Empties the index structures of a built index (activation and cleanup
   // replace the population wholesale); a no-op while the index is unbuilt.
   static void DropIndex(ClassState& state);
@@ -776,12 +772,12 @@ class Runtime {
 
   // Records one dispatch decision through `shard` (DispatchToInstances and
   // the flattened site path, only when the context has a shard). `route`
-  // names the route taken: Cell::index_probes / prefix_probes for the
-  // index, small_population / partial_bound for a fallback scan, dispatches
-  // for a plain scan with nothing to attribute. The route is stored once,
-  // inline, as key probe, prefix probe or scan fallback — both views read
-  // it; the profile's shape of the dispatch (ProfileDispatch) is out of
-  // line and runs only with profiling on.
+  // names the route taken: Cell::index_probes for the probe,
+  // scan_fallbacks for a scan below kIndexMinPopulation, partial_bound for a
+  // scan of an event missing an index variable, dispatches for a plain scan
+  // with nothing to attribute. The route is stored once, inline, as probe or
+  // scan fallback — both views read it; the profile's shape of the dispatch
+  // (ProfileDispatch) is out of line and runs only with profiling on.
   void RecordDispatch(metrics::Shard& shard, const CompiledClass& cls, const ClassState& state,
                       const BindingSet& bindings, metrics::Cell route) {
     std::atomic<uint64_t>* base = shard.ClassCells(cls.id);
@@ -793,9 +789,7 @@ class Runtime {
     }
   }
   static metrics::Cell StoredRoute(metrics::Cell route) {
-    return route == metrics::Cell::small_population || route == metrics::Cell::partial_bound
-               ? metrics::Cell::scan_fallbacks
-               : route;
+    return route == metrics::Cell::partial_bound ? metrics::Cell::scan_fallbacks : route;
   }
   // With profiling on: fan-out, the partial-binding analysis per tracked
   // key variable and the distinct-key sketches, into the class's block.
@@ -824,12 +818,6 @@ class Runtime {
   // Cleanup-time teardown: cancels armed deadlines (serial bump) and resets
   // rate windows — the bound closed, so its clauses are settled.
   void ResetTimedCells(ClassState& state);
-
-  // Satellite fix: a class whose index_min_population gate keeps forcing
-  // scans would silently degrade to O(live) dispatch; once the gated-scan
-  // tally crosses the warm-up threshold, OnWarning fires once for the class.
-  static constexpr uint32_t kGateWarnThreshold = 64;
-  void NoteGatedScan(uint32_t class_id);
 
   RuntimeOptions options_;
   // The runtime-level cells (BumpShared); mutable for const intruders.
@@ -891,10 +879,6 @@ class Runtime {
   // Per-context SlotPool capacity resolved from plan hints in CompilePlan()
   // (0: no hints loaded; use options_.instances_per_context).
   size_t pool_capacity_hint_ = 0;
-  // Gated-scan tallies behind the once-only index-gate warning
-  // (NoteGatedScan), by class id; rebuilt zeroed on every CompilePlan().
-  std::unique_ptr<std::atomic<uint32_t>[]> gate_scans_;
-  size_t gate_scan_count_ = 0;
 
   // The flight recorder (trace_mode != off) and the violation sequence it
   // captures alongside the event stream.

@@ -144,7 +144,6 @@ void PutPlan(std::vector<uint8_t>& out, const Plan& plan) {
   out.push_back(plan.options.flags());
   PutVarint(out, plan.options.instances_per_context);
   PutVarint(out, plan.options.global_shards);
-  PutVarint(out, plan.index_min_population);
   PutString(out, plan.manifest_text);
   PutString(out, profile::HintsToText(plan.plan_hints));
 }
@@ -157,7 +156,6 @@ Status GetPlan(Cursor& in, Plan& plan) {
   in.Byte(&flags);
   in.Varint(&instances_per_context);
   in.Varint(&global_shards);
-  in.Varint(&plan.index_min_population);
   in.String(&plan.manifest_text);
   in.String(&hints);
   if (in.failed) {
@@ -400,7 +398,6 @@ Plan Plan::Of(std::string origin, const runtime::RuntimeOptions& options,
   Plan plan;
   plan.origin = std::move(origin);
   plan.options = CaptureOptions::Of(options);
-  plan.index_min_population = options.index_min_population;
   plan.plan_hints = options.plan_hints;
   plan.manifest_text = std::move(manifest_text);
   return plan;
@@ -413,7 +410,6 @@ runtime::RuntimeOptions Plan::ToRuntimeOptions() const {
   runtime_options.instance_index = options.instance_index;
   runtime_options.instances_per_context = static_cast<size_t>(options.instances_per_context);
   runtime_options.global_shards = static_cast<size_t>(options.global_shards);
-  runtime_options.index_min_population = static_cast<size_t>(index_min_population);
   runtime_options.plan_hints = plan_hints;
   return runtime_options;
 }

@@ -9,7 +9,7 @@
 // Layout (all integers varint/LEB128, signed values zigzag-encoded, strings
 // varint length + bytes):
 //
-//   magic "TSLATRC7" (8 bytes)   any other digit is kErrVersionMismatch
+//   magic "TSLATRC8" (8 bytes)   any other digit is kErrVersionMismatch
 //   sections, to EOF             each: tag byte, varint payload length,
 //                                payload
 //
@@ -22,7 +22,7 @@
 //   plan (required)      origin string (names the manifest a replayer
 //     registers when none is embedded, e.g. "kernelsim:all"); the
 //     CaptureOptions codec (flags byte, instances_per_context,
-//     global_shards); index_min_population; the registered manifest in the
+//     global_shards); the registered manifest in the
 //     .tesla text format (automata/manifest.h), in registration order so
 //     assertion-site targets (automaton ids) resolve by position — empty
 //     when the writer had none, and replay then resolves the origin; the
@@ -70,7 +70,7 @@
 
 namespace tesla::trace {
 
-inline constexpr char kTraceMagic[8] = {'T', 'S', 'L', 'A', 'T', 'R', 'C', '7'};
+inline constexpr char kTraceMagic[8] = {'T', 'S', 'L', 'A', 'T', 'R', 'C', '8'};
 
 // Machine-readable Error::code values (support/result.h) attached by the
 // trace readers and origin resolver, so callers — the tesla-trace CLI in
@@ -151,9 +151,8 @@ struct SemanticSummary {
 struct Plan {
   std::string origin;
   CaptureOptions options;
-  // The plan inputs beyond CaptureOptions that move verdict counters
+  // The plan input beyond CaptureOptions that moves verdict counters
   // (index_probes vs index_scans, pool sizing).
-  uint64_t index_min_population = runtime::RuntimeOptions().index_min_population;
   profile::PlanHints plan_hints;
   // The embedded manifest (empty for writers with nothing to embed). When
   // present, readers prefer it over resolving `origin` — the plan carries

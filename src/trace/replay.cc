@@ -62,8 +62,8 @@ Status WriteCapture(const std::string& path, const std::string& origin,
 }
 
 runtime::RuntimeOptions ReplayOptions(const TraceFile& file) {
-  // The plan inputs include the probe gate and the hints, which decide
-  // index_probes vs index_scans and the pool sizes: a hinted capture
+  // The plan inputs include the hints, which decide the index key (so
+  // index_probes vs index_scans) and the pool sizes: a hinted capture
   // replays hinted.
   runtime::RuntimeOptions options = file.ToRuntimeOptions();
   options.fail_stop = false;
@@ -247,7 +247,12 @@ Result<ReplayResult> ReplayFile(const std::string& path) {
       file.manifest_text.empty() ? ManifestForOrigin(file.origin)
                                  : automata::Manifest::Deserialize(file.manifest_text);
   if (!manifest.ok()) {
-    return manifest.error();
+    Error error = manifest.error();
+    if (!file.manifest_text.empty()) {
+      error.message = "embedded manifest: " + error.message;
+      error.code = kErrCorrupt;
+    }
+    return error;
   }
   file.InternAndRemap();
   runtime::Runtime rt(ReplayOptions(file));

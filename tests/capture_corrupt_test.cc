@@ -47,8 +47,7 @@ std::vector<uint8_t> ValidCaptureBytes() {
   TraceFile file;
   file.origin = "test:corrupt";
   file.options.global_shards = 3;
-  file.index_min_population = 3;
-  file.plan_hints.classes.push_back({"corrupt-test", 24, 0, 0});
+  file.plan_hints.classes.push_back({"corrupt-test", 24, 0});
   file.manifest_text = "synthetic-manifest-payload (not parsed by Read)";
   for (Symbol symbol = 0; symbol < GlobalInterner().size(); symbol++) {
     file.symbols.push_back(GlobalInterner().Spelling(symbol));
@@ -237,7 +236,6 @@ TEST(CorruptCapture, SectionsAndTimestampsRoundTrip) {
   auto read = TraceFile::Read(path);
   ASSERT_TRUE(read.ok()) << read.error().ToString();
   const TraceFile& file = read.value();
-  EXPECT_EQ(file.index_min_population, 3u);
   ASSERT_EQ(file.plan_hints.classes.size(), 1u);
   EXPECT_EQ(file.plan_hints.classes[0].capacity, 24u);
   EXPECT_TRUE(file.summary.has_metrics);

@@ -4,8 +4,10 @@
 // driven through identical pseudo-random schedules and compared on every
 // semantically observable quantity after every event; index_probes and
 // index_scans are excluded (they intentionally differ between modes). The
-// schedules run at index gates 0, 1, 3 and 8, so the lazily built index is
-// checked when it is built mid-bound and rebuilt bound after bound.
+// schedules keep bounds open long enough that their populations cross
+// kIndexMinPopulation, so the lazily built index is checked when it is
+// built mid-bound and rebuilt bound after bound — keyed on the full key set
+// and, under a plan hint, on one variable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include "automata/manifest.h"
 #include "profile/hints.h"
 #include "runtime/handler.h"
+#include "runtime/instance_store.h"
 #include "runtime/runtime.h"
 
 namespace tesla {
@@ -37,11 +40,6 @@ Symbol S(const char* name) { return InternString(name); }
 RuntimeOptions TestOptions() {
   RuntimeOptions options;
   options.fail_stop = false;
-  // The directed checks keep only a handful of instances live; pin the probe
-  // threshold to zero so they take the probe path they check. The
-  // randomized schedules run at several gates (IndexGate), and the default
-  // threshold is covered by ProbeDecisionIsMonotoneInPopulation below.
-  options.index_min_population = 0;
   return options;
 }
 
@@ -105,39 +103,47 @@ struct Pair {
 };
 
 // ---------------------------------------------------------------------------
-// Randomized differential schedules, run at several index gates.
+// Randomized differential schedules, with and without an index-key hint.
 //
 // The index is built lazily: nothing is filed until a class's live
-// population reaches index_min_population, and then the whole population is
-// filed at once. Gate 0 (and 1) builds it with the (∗) wildcard, as eager
-// filing did; gates 3 and 8 build it mid-bound, from a clone event, and
-// rebuild it in every later bound that grows past the gate. The schedules
-// lean on clone events so a bound's population crosses every gate under
-// test before the bound closes.
+// population reaches kIndexMinPopulation, and then the whole population is
+// filed at once. The schedules weight clone events far above bound entry and
+// exit, so most bounds grow past the gate: each run scans below it, builds
+// the index from a clone event and probes past it, bound after bound. The
+// parameter is the hinted prefix_key_pos: -1 (no hint: the full key set),
+// 0 (x only) or 1 (y only; out of range for one-variable classes, which
+// ignore it and keep the full key).
 
-class IndexGate : public ::testing::TestWithParam<size_t> {
+// TestOptions() plus, for prefix_key_pos >= 0, a hint keying the "diff"
+// class's index on that one key variable.
+RuntimeOptions KeyedOptions(int prefix_key_pos) {
+  RuntimeOptions options = TestOptions();
+  if (prefix_key_pos >= 0) {
+    profile::ClassHint hint;
+    hint.name = "diff";
+    hint.prefix_key_pos = prefix_key_pos;
+    options.plan_hints.classes.push_back(hint);
+  }
+  return options;
+}
+
+class IndexKey : public ::testing::TestWithParam<int> {
  protected:
-  RuntimeOptions GateOptions() const {
-    RuntimeOptions options = TestOptions();
-    options.index_min_population = GetParam();
-    return options;
-  }
-  // At a gate above the wildcard the schedule must have scanned below it
-  // and probed past it; every gate must have probed.
-  void ExpectBothRoutes(const Pair& p) const {
-    EXPECT_GT(p.indexed.rt.stats().index_probes, 0u);
-    if (GetParam() > 1) {
-      EXPECT_GT(p.indexed.rt.stats().index_scans, 0u);
-    }
-    EXPECT_EQ(p.naive.rt.stats().index_probes, 0u);
-  }
+  RuntimeOptions KeyOptions() const { return KeyedOptions(GetParam()); }
 };
+
+// Every schedule must have scanned below the gate and probed past it.
+void ExpectBothRoutes(const Pair& p) {
+  EXPECT_GT(p.indexed.rt.stats().index_probes, 0u);
+  EXPECT_GT(p.indexed.rt.stats().index_scans, 0u);
+  EXPECT_EQ(p.naive.rt.stats().index_probes, 0u);
+}
 
 // Draws the next action: 0 = enter the bound, 1 = leave it, otherwise
 // 2 + the index of the body action picked by `body_weights`.
 int NextAction(uint64_t& rng, std::initializer_list<int> body_weights) {
   rng = rng * 6364136223846793005ull + 1;
-  int total = 2;
+  int total = 2;  // bound entry and exit weigh 1 each
   for (int w : body_weights) total += w;
   int roll = static_cast<int>((rng >> 33) % static_cast<uint64_t>(total));
   if (roll < 2) return roll;
@@ -151,12 +157,12 @@ int NextAction(uint64_t& rng, std::initializer_list<int> body_weights) {
   return action;
 }
 
-TEST_P(IndexGate, RandomizedOneVariableAgrees) {
-  Pair p("TESLA_WITHIN(syscall, previously(check(x) == 0))", GateOptions());
+TEST_P(IndexKey, RandomizedOneVariableAgrees) {
+  Pair p("TESLA_WITHIN(syscall, previously(check(x) == 0))", KeyOptions());
 
   uint64_t rng = 7;
-  for (int round = 0; round < 600; round++) {
-    const int action = NextAction(rng, {10, 4});
+  for (int round = 0; round < 1200; round++) {
+    const int action = NextAction(rng, {40, 16});
     int64_t value = static_cast<int64_t>((rng >> 40) % 12);
     int64_t args[] = {value};
     Binding site[] = {{0, value}};
@@ -182,67 +188,27 @@ TEST_P(IndexGate, RandomizedOneVariableAgrees) {
   ExpectBothRoutes(p);
 }
 
-TEST_P(IndexGate, RandomizedTwoVariableWithPartialBindingsAgrees) {
+TEST_P(IndexKey, RandomizedTwoVariableWithPartialBindingsAgrees) {
   // pair(x, y) binds both variables on clone events, but assertion sites
-  // sometimes supply only x: those dispatches cannot use the index and must
-  // take the fall-back scan, which has to agree with the naive mode too.
-  Pair p("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", GateOptions());
+  // sometimes supply only x or only y: a site missing an index variable
+  // takes the fall-back scan, one binding every index variable probes —
+  // under an x hint, x-only sites probe the x bucket. Sites that also bind
+  // a variable outside the key (z, never declared by the class) probe the
+  // full-key bucket and clone instances that carry z. All of it must agree
+  // with the naive mode.
+  Pair p("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", KeyOptions());
 
   uint64_t rng = 12345;
-  for (int round = 0; round < 600; round++) {
-    const int action = NextAction(rng, {8, 3, 2});
+  for (int round = 0; round < 1200; round++) {
+    const int action = NextAction(rng, {32, 12, 8, 8, 4});
     int64_t x = static_cast<int64_t>((rng >> 40) % 4);
     int64_t y = static_cast<int64_t>((rng >> 45) % 4);
-    int64_t args[] = {x, y};
-    Binding full[] = {{0, x}, {1, y}};
-    Binding partial[] = {{0, x}};
-
-    for (Side* s : {&p.indexed, &p.naive}) {
-      switch (action) {
-        case 0:
-          s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
-          break;
-        case 1:
-          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
-          break;
-        case 2:
-          s->rt.OnFunctionReturn(*s->ctx, S("pair"), args, 0);
-          break;
-        case 3:
-          s->rt.OnAssertionSite(*s->ctx, s->id, full);
-          break;
-        case 4:
-          s->rt.OnAssertionSite(*s->ctx, s->id, partial);
-          break;
-      }
-    }
-    p.Check("round");
-  }
-  ExpectBothRoutes(p);
-  EXPECT_GT(p.indexed.rt.stats().index_scans, 0u);  // partially-bound sites
-}
-
-TEST_P(IndexGate, RandomizedPrefixHintBuiltLateAgrees) {
-  // A profile-hinted prefix index on x, under the global gate: the prefix
-  // chains are built with the key index when the population crosses the
-  // gate, so x-only sites switch from the scan to the prefix probe
-  // mid-bound. y-only sites always scan.
-  RuntimeOptions options = GateOptions();
-  profile::ClassHint hint;
-  hint.name = "diff";
-  hint.prefix_key_pos = 0;
-  options.plan_hints.classes.push_back(hint);
-  Pair p("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", options);
-
-  uint64_t rng = 2718;
-  for (int round = 0; round < 600; round++) {
-    const int action = NextAction(rng, {8, 2, 3, 1});
-    int64_t x = static_cast<int64_t>((rng >> 40) % 4);
-    int64_t y = static_cast<int64_t>((rng >> 45) % 4);
+    int64_t z = static_cast<int64_t>((rng >> 50) % 2);
     int64_t args[] = {x, y};
     Binding full[] = {{0, x}, {1, y}};
     Binding only_x[] = {{0, x}};
     Binding only_y[] = {{1, y}};
+    Binding with_z[] = {{0, x}, {1, y}, {2, z}};
 
     for (Side* s : {&p.indexed, &p.naive}) {
       switch (action) {
@@ -264,6 +230,9 @@ TEST_P(IndexGate, RandomizedPrefixHintBuiltLateAgrees) {
         case 5:
           s->rt.OnAssertionSite(*s->ctx, s->id, only_y);
           break;
+        case 6:
+          s->rt.OnAssertionSite(*s->ctx, s->id, with_z);
+          break;
       }
     }
     p.Check("round");
@@ -271,13 +240,68 @@ TEST_P(IndexGate, RandomizedPrefixHintBuiltLateAgrees) {
   ExpectBothRoutes(p);
 }
 
-TEST_P(IndexGate, RandomizedGlobalAutomatonAgrees) {
+// Two branches that clone on different subsets of the key {x, y}: f(x)
+// leaves y unbound, g(x, y) binds both. Under an x hint an f clone sits in
+// its x bucket, so a g event that matches nothing exactly finds consistent
+// parents in the bucket and in the tail at once, and several of them clone
+// to the same bindings. Dedup keeps the first parent whose clone steps, so
+// the probe must take parents in creation order, as the scan does, or the
+// surviving clone (and the site's verdict) differs.
+const char* const kSubsetCloneSource =
+    "TESLA_WITHIN(syscall, previously(TSEQUENCE(f(x) == 0, g(x, y) == 0) || "
+    "TSEQUENCE(g(x, y) == 0, h(x, y) == 0)))";
+
+TEST_P(IndexKey, RandomizedSubsetCloneAgrees) {
+  Pair p(kSubsetCloneSource, KeyOptions());
+
+  uint64_t rng = 2718;
+  for (int round = 0; round < 1500; round++) {
+    const int action = NextAction(rng, {16, 16, 12, 10, 4});
+    int64_t x = static_cast<int64_t>((rng >> 40) % 4);
+    int64_t y = static_cast<int64_t>((rng >> 45) % 4);
+    int64_t only_x_args[] = {x};
+    int64_t args[] = {x, y};
+    Binding full[] = {{0, x}, {1, y}};
+    Binding only_x[] = {{0, x}};
+
+    for (Side* s : {&p.indexed, &p.naive}) {
+      switch (action) {
+        case 0:
+          s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
+          break;
+        case 1:
+          s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
+          break;
+        case 2:
+          s->rt.OnFunctionReturn(*s->ctx, S("f"), only_x_args, 0);
+          break;
+        case 3:
+          s->rt.OnFunctionReturn(*s->ctx, S("g"), args, 0);
+          break;
+        case 4:
+          s->rt.OnFunctionReturn(*s->ctx, S("h"), args, 0);
+          break;
+        case 5:
+          s->rt.OnAssertionSite(*s->ctx, s->id, full);
+          break;
+        case 6:
+          s->rt.OnAssertionSite(*s->ctx, s->id, only_x);
+          break;
+      }
+    }
+    p.Check("round");
+  }
+  EXPECT_GT(p.naive.rt.stats().violations, 0u);
+  ExpectBothRoutes(p);
+}
+
+TEST_P(IndexKey, RandomizedGlobalAutomatonAgrees) {
   Pair p("TESLA_GLOBAL(call(syscall), returnfrom(syscall), previously(check(x) == 0))",
-         GateOptions());
+         KeyOptions());
 
   uint64_t rng = 4242;
-  for (int round = 0; round < 600; round++) {
-    const int action = NextAction(rng, {10, 4});
+  for (int round = 0; round < 1200; round++) {
+    const int action = NextAction(rng, {40, 16});
     int64_t value = static_cast<int64_t>((rng >> 40) % 12);
     int64_t args[] = {value};
     Binding site[] = {{0, value}};
@@ -303,14 +327,14 @@ TEST_P(IndexGate, RandomizedGlobalAutomatonAgrees) {
   ExpectBothRoutes(p);
 }
 
-TEST_P(IndexGate, RandomizedDfaModeAgrees) {
-  RuntimeOptions options = GateOptions();
+TEST_P(IndexKey, RandomizedDfaModeAgrees) {
+  RuntimeOptions options = KeyOptions();
   options.use_dfa = true;
   Pair p("TESLA_WITHIN(syscall, previously(ca(x) == 0 || cb(x) == 0))", options);
 
   uint64_t rng = 555;
-  for (int round = 0; round < 600; round++) {
-    const int action = NextAction(rng, {5, 5, 4});
+  for (int round = 0; round < 1200; round++) {
+    const int action = NextAction(rng, {20, 20, 16});
     int64_t value = static_cast<int64_t>((rng >> 40) % 12);
     int64_t args[] = {value};
     Binding site[] = {{0, value}};
@@ -339,18 +363,17 @@ TEST_P(IndexGate, RandomizedDfaModeAgrees) {
   ExpectBothRoutes(p);
 }
 
-TEST_P(IndexGate, RandomizedOverflowPressureAgrees) {
-  // A tiny pool: both modes must report the same kOverflow violations and
-  // the same overflow counts even when most clones are dropped. The pool
-  // caps the population at 3, so gate 8 is never reached and that run
-  // never builds the index at all.
-  RuntimeOptions options = GateOptions();
-  options.instances_per_context = 3;
+TEST(InstanceIndex, RandomizedOverflowPressureAgrees) {
+  // A pool just past the gate: the index is built, then most clones are
+  // dropped. Both modes must report the same kOverflow violations and the
+  // same overflow counts. (No hint: hints size the pool themselves.)
+  RuntimeOptions options = TestOptions();
+  options.instances_per_context = runtime::kIndexMinPopulation + 2;
   Pair p("TESLA_WITHIN(syscall, previously(check(x) == 0))", options);
 
   uint64_t rng = 31337;
-  for (int round = 0; round < 300; round++) {
-    const int action = NextAction(rng, {5, 1});
+  for (int round = 0; round < 1200; round++) {
+    const int action = NextAction(rng, {40, 8});
     int64_t value = static_cast<int64_t>((rng >> 40) % 16);
     int64_t args[] = {value};
     Binding site[] = {{0, value}};
@@ -374,28 +397,41 @@ TEST_P(IndexGate, RandomizedOverflowPressureAgrees) {
     p.Check("round");
   }
   EXPECT_GT(p.indexed.rt.stats().overflows, 0u);
+  ExpectBothRoutes(p);
 }
 
-INSTANTIATE_TEST_SUITE_P(Gates, IndexGate, ::testing::Values(0, 1, 3, 8),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "gate" + std::to_string(info.param);
+INSTANTIATE_TEST_SUITE_P(Keys, IndexKey, ::testing::Values(-1, 0, 1),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param < 0 ? std::string("full_key")
+                                                 : "prefix" + std::to_string(info.param);
                          });
 
 // ---------------------------------------------------------------------------
-// Directed checks on index engagement and fall-back routing.
+// Directed checks on index engagement and fall-back routing. Each opens a
+// bound and clones until the population reaches the gate, so the dispatch
+// under test is past it.
+
+// Clones one check(x) instance per value in [first, first + count).
+void CloneChecks(Side& s, int64_t first, size_t count) {
+  for (size_t i = 0; i < count; i++) {
+    int64_t args[] = {first + static_cast<int64_t>(i)};
+    s.rt.OnFunctionReturn(*s.ctx, S("check"), args, 0);
+  }
+}
 
 TEST(InstanceIndex, FastPathEngagesForFullyBoundDispatch) {
-  RuntimeOptions options = TestOptions();
-  Side s("TESLA_WITHIN(syscall, previously(check(x) == 0))", options);
+  Side s("TESLA_WITHIN(syscall, previously(check(x) == 0))", TestOptions());
 
   s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
-  int64_t args[] = {42};
-  s.rt.OnFunctionReturn(*s.ctx, S("check"), args, 0);
-  EXPECT_GT(s.rt.stats().index_probes, 0u);
+  CloneChecks(s, 0, runtime::kIndexMinPopulation - 1);  // + (∗) reaches the gate
+  s.rt.ResetStats();
+  CloneChecks(s, 42, 1);
+  EXPECT_EQ(s.rt.stats().index_probes, 1u);
   EXPECT_EQ(s.rt.stats().index_scans, 0u);
 
   Binding site[] = {{0, 42}};
   s.rt.OnAssertionSite(*s.ctx, s.id, site);
+  EXPECT_EQ(s.rt.stats().index_probes, 2u);
   s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
   EXPECT_EQ(s.rt.stats().violations, 0u);
 }
@@ -404,14 +440,41 @@ TEST(InstanceIndex, PartialBindingFallsBackToScan) {
   Side s("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", TestOptions());
 
   s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
-  int64_t args[] = {1, 2};
-  s.rt.OnFunctionReturn(*s.ctx, S("pair"), args, 0);
-  uint64_t scans_before = s.rt.stats().index_scans;
+  for (int64_t y = 0; y < static_cast<int64_t>(runtime::kIndexMinPopulation); y++) {
+    int64_t args[] = {1, y};
+    s.rt.OnFunctionReturn(*s.ctx, S("pair"), args, 0);
+  }
+  s.rt.ResetStats();
 
-  // Only x bound at the site: mask mismatch, must take the scan path.
+  // Only x bound at the site: y is an index variable, so it must scan.
   Binding partial[] = {{0, 1}};
   s.rt.OnAssertionSite(*s.ctx, s.id, partial);
-  EXPECT_GT(s.rt.stats().index_scans, scans_before);
+  EXPECT_EQ(s.rt.stats().index_scans, 1u);
+  EXPECT_EQ(s.rt.stats().index_probes, 0u);
+}
+
+TEST(InstanceIndex, BindingBeyondTheKeyProbes) {
+  // A site binding the whole key plus a variable outside it (z, which the
+  // class never declares) probes: its exact matches and every consistent
+  // parent carrying the key sit in the key's bucket. Its clones carry z,
+  // and both modes must still agree.
+  Pair p("TESLA_WITHIN(syscall, previously(check(x) == 0))");
+  for (Side* s : {&p.indexed, &p.naive}) {
+    s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
+    CloneChecks(*s, 0, runtime::kIndexMinPopulation);
+    s->rt.ResetStats();
+    Binding with_z[] = {{0, 3}, {1, 9}};
+    s->rt.OnAssertionSite(*s->ctx, s->id, with_z);
+    Binding again[] = {{0, 3}, {1, 9}};
+    s->rt.OnAssertionSite(*s->ctx, s->id, again);
+    Binding other_z[] = {{0, 3}, {1, 8}};
+    s->rt.OnAssertionSite(*s->ctx, s->id, other_z);
+    s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
+  }
+  p.Check("bound");
+  EXPECT_EQ(p.indexed.rt.stats().index_probes, 3u);
+  EXPECT_EQ(p.indexed.rt.stats().index_scans, 0u);
+  EXPECT_EQ(p.indexed.rt.stats().violations, 0u);
 }
 
 TEST(InstanceIndex, IndexDisabledNeverProbes) {
@@ -420,8 +483,7 @@ TEST(InstanceIndex, IndexDisabledNeverProbes) {
   Side s("TESLA_WITHIN(syscall, previously(check(x) == 0))", options);
 
   s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
-  int64_t args[] = {1};
-  s.rt.OnFunctionReturn(*s.ctx, S("check"), args, 0);
+  CloneChecks(s, 0, 2 * runtime::kIndexMinPopulation);
   Binding site[] = {{0, 1}};
   s.rt.OnAssertionSite(*s.ctx, s.id, site);
   s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
@@ -431,23 +493,17 @@ TEST(InstanceIndex, IndexDisabledNeverProbes) {
 }
 
 TEST(InstanceIndex, ProbeDecisionIsMonotoneInPopulation) {
-  // With the default index_min_population, a fully-bound dispatch must scan
-  // below the threshold, probe at or above it, and never flip back to
-  // scanning as the population grows (the decision is monotone in the live
-  // count). The live population at the site is the wildcard plus one clone
-  // per bound value.
-  const size_t threshold = RuntimeOptions{}.index_min_population;
-  ASSERT_GT(threshold, 1u);  // the small-population fallthrough is on by default
+  // A fully-bound dispatch must scan below kIndexMinPopulation, probe at or
+  // above it, and never flip back to scanning as the population grows (the
+  // decision is monotone in the live count). The live population at the
+  // site is the wildcard plus one clone per bound value.
+  const size_t threshold = runtime::kIndexMinPopulation;
+  ASSERT_GT(threshold, 1u);
   bool probed_before = false;
   for (size_t clones = 1; clones <= 2 * threshold; clones++) {
-    RuntimeOptions options;
-    options.fail_stop = false;
-    Side s("TESLA_WITHIN(syscall, previously(check(x) == 0))", options);
+    Side s("TESLA_WITHIN(syscall, previously(check(x) == 0))", TestOptions());
     s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
-    for (size_t v = 0; v < clones; v++) {
-      int64_t args[] = {static_cast<int64_t>(v)};
-      s.rt.OnFunctionReturn(*s.ctx, S("check"), args, 0);
-    }
+    CloneChecks(s, 0, clones);
     s.rt.ResetStats();
     Binding site[] = {{0, 0}};
     s.rt.OnAssertionSite(*s.ctx, s.id, site);
@@ -460,14 +516,36 @@ TEST(InstanceIndex, ProbeDecisionIsMonotoneInPopulation) {
     s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
     EXPECT_EQ(s.rt.stats().violations, 0u) << "clones=" << clones;
   }
+}
 
-  // Threshold zero probes unconditionally, even for the first dispatch.
-  Side s("TESLA_WITHIN(syscall, previously(check(x) == 0))", TestOptions());
-  s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
-  int64_t args[] = {7};
-  s.rt.OnFunctionReturn(*s.ctx, S("check"), args, 0);
-  EXPECT_GT(s.rt.stats().index_probes, 0u);
-  EXPECT_EQ(s.rt.stats().index_scans, 0u);
+TEST(InstanceIndex, ProbeTakesCloneParentsInCreationOrder) {
+  // Past the gate, f(1) clones A = (1,*) from the wildcard W. g(1, 2) then
+  // matches nothing exactly, and both W (older) and A can step on it, to the
+  // same bindings (1,2). The scan clones W's first, which still needs h, and
+  // drops A's as a duplicate, so the site fails. Under an x hint A sits in
+  // the x = 1 bucket and W in the tail; the probe must still clone W's
+  // first, whatever the key.
+  for (int key : {-1, 0, 1}) {
+    Pair p(kSubsetCloneSource, KeyedOptions(key));
+    for (Side* s : {&p.indexed, &p.naive}) {
+      s->rt.OnFunctionCall(*s->ctx, S("syscall"), {});
+      for (int64_t v = 0; v < static_cast<int64_t>(runtime::kIndexMinPopulation); v++) {
+        int64_t args[] = {100 + v};
+        s->rt.OnFunctionReturn(*s->ctx, S("f"), args, 0);
+      }
+      int64_t x_args[] = {1};
+      s->rt.OnFunctionReturn(*s->ctx, S("f"), x_args, 0);
+      s->rt.ResetStats();
+      int64_t xy_args[] = {1, 2};
+      s->rt.OnFunctionReturn(*s->ctx, S("g"), xy_args, 0);
+      Binding site[] = {{0, 1}, {1, 2}};
+      s->rt.OnAssertionSite(*s->ctx, s->id, site);
+      s->rt.OnFunctionReturn(*s->ctx, S("syscall"), {}, 0);
+    }
+    p.Check("bound");
+    EXPECT_EQ(p.naive.rt.stats().violations, 1u) << "key " << key;
+    EXPECT_GT(p.indexed.rt.stats().index_probes, 0u) << "key " << key;
+  }
 }
 
 // Logs every instance callback in order, naming the instance by its
@@ -500,38 +578,41 @@ class CallbackLog : public runtime::EventHandler {
 };
 
 TEST(InstanceIndex, LateBuildWalksChainsLikeEagerFiling) {
-  // Six instances share the hinted prefix x = 1, so an x-only site walks one
-  // prefix chain of them. Built at the gate from the whole population, that
-  // chain must list them in the order filing each clone as it was created
-  // (gate 0) does: the same callbacks, in the same order. The bound repeats,
-  // so the index is also rebuilt.
-  auto run = [](size_t gate) {
-    RuntimeOptions options = TestOptions();
-    options.index_min_population = gate;
-    profile::ClassHint hint;
-    hint.name = "diff";
-    hint.prefix_key_pos = 0;
-    options.plan_hints.classes.push_back(hint);
-    Side s("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", options);
-    CallbackLog callbacks;
-    s.rt.AddHandler(&callbacks);
-    for (int bound = 0; bound < 2; bound++) {
-      s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
-      for (int64_t y = 0; y < 6; y++) {
-        int64_t args[] = {1, y};
-        s.rt.OnFunctionReturn(*s.ctx, S("pair"), args, 0);
-      }
-      Binding only_x[] = {{0, 1}};
-      s.rt.OnAssertionSite(*s.ctx, s.id, only_x);
-      s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
+  // Nine clones share the hinted index key x = 1. The index is built from
+  // the whole population when the seventh clone brings it (with the (∗)
+  // wildcard) to the gate; the last two clones are filed as they are
+  // created. Either way the x = 1 chain must list the clones newest first,
+  // as filing each one at its creation would: an x-only site steps y = 8
+  // down to y = 0. The bound repeats, so the index is also rebuilt.
+  RuntimeOptions options = TestOptions();
+  profile::ClassHint hint;
+  hint.name = "diff";
+  hint.prefix_key_pos = 0;
+  options.plan_hints.classes.push_back(hint);
+  Side s("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", options);
+  CallbackLog callbacks;
+  s.rt.AddHandler(&callbacks);
+  const int64_t clones = static_cast<int64_t>(runtime::kIndexMinPopulation) + 1;
+  for (int bound = 0; bound < 2; bound++) {
+    s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
+    for (int64_t y = 0; y < clones; y++) {
+      int64_t args[] = {1, y};
+      s.rt.OnFunctionReturn(*s.ctx, S("pair"), args, 0);
     }
-    EXPECT_GT(s.rt.stats().index_probes, 0u);
-    EXPECT_EQ(s.rt.stats().violations, 0u);
-    return callbacks.log;
-  };
-  const std::vector<std::string> eager = run(0);
-  ASSERT_FALSE(eager.empty());
-  EXPECT_EQ(run(4), eager);
+    callbacks.log.clear();
+    s.rt.ResetStats();
+    Binding only_x[] = {{0, 1}};
+    s.rt.OnAssertionSite(*s.ctx, s.id, only_x);
+    EXPECT_EQ(s.rt.stats().index_probes, 1u) << "bound " << bound;
+    ASSERT_EQ(callbacks.log.size(), static_cast<size_t>(clones)) << "bound " << bound;
+    for (int64_t i = 0; i < clones; i++) {
+      const std::string name = "step (1," + std::to_string(clones - 1 - i) + ") ";
+      EXPECT_EQ(callbacks.log[static_cast<size_t>(i)].rfind(name, 0), 0u)
+          << "bound " << bound << ": " << callbacks.log[static_cast<size_t>(i)];
+    }
+    s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
+  }
+  EXPECT_EQ(s.rt.stats().violations, 0u);
 }
 
 TEST(InstanceIndex, ManyDistinctKeysStayIndependent) {

@@ -638,25 +638,23 @@ TEST(Sidecar, DrainMatchesInlineDispatchExactly) {
   }
 }
 
-// The sidecar runs under the publisher's plan, not just its options: with a
-// gate and plan hints that route a small population to the index probe,
-// the sidecar must take the same routes (index_probes / index_scans) as an
-// inline run under the publisher's options. Under the default gate the
-// sidecar would scan every one of these dispatches.
+// The sidecar runs under the publisher's plan, not just its options: with
+// plan hints that key "keyed"'s index on x, its x-only sites probe once its
+// population passes the gate, and the sidecar must take the same routes
+// (index_probes / index_scans) as an inline run under the publisher's
+// options. Without the hints those sites would scan.
 TEST(Sidecar, RunsUnderThePublishersPlan) {
   SetLogLevel(LogLevel::kSilent);
   RuntimeOptions options = TestOptions();
-  options.index_min_population = 3;
   profile::ClassHint hint;
   hint.name = "keyed";
-  hint.min_population = 0;
   hint.prefix_key_pos = 0;
   options.plan_hints.classes.push_back(hint);
   auto manifest = [] {
     automata::Manifest manifest;
     for (const auto& [source, name] :
          {std::pair{"TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", "keyed"},
-          std::pair{"TESLA_WITHIN(syscall, previously(check(x) == 0))", "gated"}}) {
+          std::pair{"TESLA_WITHIN(syscall, previously(check(x) == 0))", "plain"}}) {
       auto automaton = automata::CompileAssertion(source, {}, name);
       EXPECT_TRUE(automaton.ok()) << automaton.error().ToString();
       manifest.Add(std::move(automaton.value()));
@@ -666,38 +664,33 @@ TEST(Sidecar, RunsUnderThePublishersPlan) {
   auto drive = [](Runtime& rt) {
     ThreadContext ctx(rt);
     const uint32_t keyed = static_cast<uint32_t>(rt.FindAutomaton("keyed"));
-    const uint32_t gated = static_cast<uint32_t>(rt.FindAutomaton("gated"));
+    const uint32_t plain = static_cast<uint32_t>(rt.FindAutomaton("plain"));
+    // Clone events outweigh bound entry and exit 10:1, so bounds grow past
+    // the index population gate.
     uint64_t rng = 99;
-    for (int round = 0; round < 400; round++) {
+    for (int round = 0; round < 800; round++) {
       rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-      const int64_t x = static_cast<int64_t>((rng >> 40) % 3);
-      const int64_t y = static_cast<int64_t>((rng >> 48) % 2);
+      const int64_t x = static_cast<int64_t>((rng >> 40) % 4);
+      const int64_t y = static_cast<int64_t>((rng >> 48) % 4);
       int64_t pair_args[] = {x, y};
       int64_t one_arg[] = {x};
       Binding full[] = {{0, x}, {1, y}};
       Binding only_x[] = {{0, x}};
-      switch ((rng >> 33) % 7) {
-        case 0:
-          rt.OnFunctionCall(ctx, S("syscall"), {});
-          break;
-        case 1:
-          rt.OnFunctionReturn(ctx, S("pair"), pair_args, 0);
-          break;
-        case 2:
-          rt.OnFunctionReturn(ctx, S("check"), one_arg, 0);
-          break;
-        case 3:
-          rt.OnAssertionSite(ctx, keyed, full);  // key probe from the first dispatch
-          break;
-        case 4:
-          rt.OnAssertionSite(ctx, keyed, only_x);  // prefix probe
-          break;
-        case 5:
-          rt.OnAssertionSite(ctx, gated, only_x);  // gated: probes from 3 live
-          break;
-        case 6:
-          rt.OnFunctionReturn(ctx, S("syscall"), {}, 0);
-          break;
+      const uint64_t roll = (rng >> 33) % 48;
+      if (roll == 0) {
+        rt.OnFunctionCall(ctx, S("syscall"), {});
+      } else if (roll < 21) {
+        rt.OnFunctionReturn(ctx, S("pair"), pair_args, 0);
+      } else if (roll < 29) {
+        rt.OnFunctionReturn(ctx, S("check"), one_arg, 0);
+      } else if (roll < 35) {
+        rt.OnAssertionSite(ctx, keyed, full);
+      } else if (roll < 41) {
+        rt.OnAssertionSite(ctx, keyed, only_x);  // probes only under the hint
+      } else if (roll < 47) {
+        rt.OnAssertionSite(ctx, plain, only_x);
+      } else {
+        rt.OnFunctionReturn(ctx, S("syscall"), {}, 0);
       }
     }
   };
@@ -705,7 +698,12 @@ TEST(Sidecar, RunsUnderThePublishersPlan) {
   Runtime inline_rt(options);
   ASSERT_TRUE(inline_rt.Register(manifest()).ok());
   drive(inline_rt);
-  ASSERT_GT(inline_rt.stats().index_probes, 0u);
+  RuntimeOptions unhinted_options = options;
+  unhinted_options.plan_hints = {};
+  Runtime unhinted_rt(unhinted_options);
+  ASSERT_TRUE(unhinted_rt.Register(manifest()).ok());
+  drive(unhinted_rt);
+  ASSERT_GT(inline_rt.stats().index_probes, unhinted_rt.stats().index_probes);
 
   Runtime publisher_rt(options);
   ASSERT_TRUE(publisher_rt.Register(manifest()).ok());
@@ -717,7 +715,6 @@ TEST(Sidecar, RunsUnderThePublishersPlan) {
   ShmSubscriber& subscriber = *attached.value();
   subscriber.InternSymbols();
   RuntimeOptions sidecar_options = subscriber.PublisherRuntimeOptions();
-  EXPECT_EQ(sidecar_options.index_min_population, options.index_min_population);
   EXPECT_EQ(profile::HintsToText(sidecar_options.plan_hints),
             profile::HintsToText(options.plan_hints));
   sidecar_options.fail_stop = false;

@@ -3,11 +3,12 @@
 // Covers: profile determinism across sync / async-queue / multi-consumer
 // dispatch (the same differential discipline as queue_mc_test, extended to
 // the profile's deterministic cells, partial-binding attribution and
-// sketches); the secondary prefix index a plan hint builds (differential
-// against the naive scan); hints text round-trip; sketch estimate accuracy;
-// the capture round-trip; ResetStats rewinding SlotPool high-water marks
-// (regression, alongside the shard-pool reset test in metrics_test); and the once-only OnWarning when the population gate keeps
-// disabling the key probe for a profiled class.
+// sketches); the index key a plan hint picks (differential against the
+// naive scan); how scans below the index population gate show in the
+// profile; strict hints text parsing (round-trip, directed malformed lines
+// and a byte-mutation sweep); sketch estimate accuracy; the capture
+// round-trip; and ResetStats rewinding SlotPool high-water marks
+// (regression, alongside the shard-pool reset test in metrics_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "profile/snapshot.h"
 #include "queue/queue.h"
 #include "runtime/handler.h"
+#include "runtime/instance_store.h"
 #include "runtime/runtime.h"
 #include "support/hash.h"
 #include "support/log.h"
@@ -208,8 +210,7 @@ TEST(ProfileHints, PrefixIndexedDispatchAgreesWithNaiveScan) {
   {
     profile::ClassHint hint;
     hint.name = "diff";
-    hint.min_population = 0;
-    hint.prefix_key_pos = 0;  // secondary index on x
+    hint.prefix_key_pos = 0;  // key the instance index on x
     hinted_options.plan_hints.classes.push_back(hint);
   }
   RuntimeOptions naive_options;
@@ -218,10 +219,13 @@ TEST(ProfileHints, PrefixIndexedDispatchAgreesWithNaiveScan) {
   Side hinted(source, hinted_options);
   Side naive(source, naive_options);
 
+  // Clone events outweigh bound entry and exit 8:1, so most bounds grow
+  // past the index population gate and the x-only sites there probe.
   uint64_t rng = 12345;
-  for (int round = 0; round < 400; round++) {
+  for (int round = 0; round < 800; round++) {
     rng = rng * 6364136223846793005ull + 1;
-    int action = static_cast<int>((rng >> 33) % 5);
+    const int roll = static_cast<int>((rng >> 33) % 16);
+    const int action = roll == 0 ? 0 : roll == 15 ? 4 : roll < 9 ? 1 : roll < 12 ? 2 : 3;
     int64_t x = static_cast<int64_t>((rng >> 40) % 4);
     int64_t y = static_cast<int64_t>((rng >> 45) % 4);
     int64_t args[] = {x, y};
@@ -262,12 +266,47 @@ TEST(ProfileHints, PrefixIndexedDispatchAgreesWithNaiveScan) {
     EXPECT_EQ(va[i].kind, vb[i].kind) << "violation " << i;
   }
 
-  // The hint really built and served the secondary index: partially-bound
-  // dispatches took prefix probes instead of full scans.
+  // The hint keyed the index on x: every dispatch binds x, so past the gate
+  // each one probed (none is partially bound), and below it each scanned.
   const profile::Snapshot snapshot = hinted.rt.CollectProfile();
   ASSERT_EQ(snapshot.classes.size(), 1u);
-  EXPECT_GT(snapshot.classes[0].cell(profile::Cell::prefix_probes), 0u);
   EXPECT_GT(snapshot.classes[0].cell(profile::Cell::index_probes), 0u);
+  EXPECT_GT(snapshot.classes[0].cell(profile::Cell::scan_fallbacks), 0u);
+  EXPECT_EQ(snapshot.classes[0].cell(profile::Cell::partial_bound), 0u);
+}
+
+TEST(ProfileHints, GatedScansAreFallbacksLessPartialBound) {
+  // Below kIndexMinPopulation every dispatch of an indexed class scans and
+  // counts as a scan fallback only; at or above it, a dispatch missing a key
+  // variable is a partial-bound fallback. The report's "under the
+  // population gate" figure is the difference.
+  SetLogLevel(LogLevel::kSilent);
+  RuntimeOptions options;
+  options.fail_stop = false;
+  options.profile = true;
+  Side s("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", options);
+  s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
+  Binding partial[] = {{0, 1}};
+  s.rt.OnAssertionSite(*s.ctx, s.id, partial);  // gated: population 1
+  for (int64_t y = 0; y < static_cast<int64_t>(runtime::kIndexMinPopulation); y++) {
+    int64_t args[] = {1, y};
+    s.rt.OnFunctionReturn(*s.ctx, S("pair"), args, 0);  // all but the last gated
+  }
+  s.rt.OnAssertionSite(*s.ctx, s.id, partial);  // partial-bound: past the gate
+  Binding full[] = {{0, 1}, {1, 2}};
+  s.rt.OnAssertionSite(*s.ctx, s.id, full);  // probe
+
+  const profile::Snapshot snapshot = s.rt.CollectProfile();
+  ASSERT_EQ(snapshot.classes.size(), 1u);
+  const profile::ClassProfile& cls = snapshot.classes[0];
+  const uint64_t gated = runtime::kIndexMinPopulation;  // 1 site + 7 clone events
+  EXPECT_EQ(cls.cell(profile::Cell::partial_bound), 1u);
+  EXPECT_EQ(cls.cell(profile::Cell::scan_fallbacks), gated + 1);
+  EXPECT_EQ(cls.cell(profile::Cell::index_probes), 2u);  // 1 clone event + 1 site
+  EXPECT_NE(profile::RenderReport(snapshot).find(
+                "1 partial-bound, " + std::to_string(gated) + " under the population gate"),
+            std::string::npos)
+      << profile::RenderReport(snapshot);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,96 +356,156 @@ TEST(ProfileReset, ResetStatsRewindsPoolHighWater) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: once-only warning when the population gate keeps forcing scans.
-
-class WarningLog : public runtime::EventHandler {
- public:
-  void OnWarning(const runtime::ClassInfo& cls, const std::string& message) override {
-    count_++;
-    last_ = message;
-  }
-  uint64_t count() const { return count_; }
-  const std::string& last() const { return last_; }
-
- private:
-  uint64_t count_ = 0;
-  std::string last_;
-};
-
-TEST(ProfileWarnings, GateDisablingProbeWarnsExactlyOnce) {
-  SetLogLevel(LogLevel::kSilent);
-  RuntimeOptions options;
-  options.fail_stop = false;
-  options.profile = true;
-  options.index_min_population = 1 << 20;  // the probe can never win
-  Runtime rt(options);
-  auto automaton =
-      CompileAssertion("TESLA_WITHIN(syscall, previously(check(x) == 0))", {}, "m");
-  ASSERT_TRUE(automaton.ok());
-  automata::Manifest manifest;
-  manifest.Add(std::move(automaton.value()));
-  ASSERT_TRUE(rt.Register(manifest).ok());
-  WarningLog warnings;
-  rt.AddHandler(&warnings);
-  ThreadContext ctx(rt);
-
-  rt.OnFunctionCall(ctx, S("syscall"), {});
-  int64_t args[] = {1};
-  rt.OnFunctionReturn(ctx, S("check"), args, 0);
-  // Well past the warm-up threshold: every fully-bound site dispatch is a
-  // gated scan the index would have served.
-  for (int i = 0; i < 200; i++) {
-    Binding site[] = {{0, 1}};
-    rt.OnAssertionSite(ctx, rt.FindAutomaton("m"), site);
-  }
-
-  EXPECT_EQ(warnings.count(), 1u);
-  EXPECT_NE(warnings.last().find("index_min_population"), std::string::npos);
-
-  // The profile attributes those dispatches to the gate.
-  const profile::Snapshot snapshot = rt.CollectProfile();
-  ASSERT_EQ(snapshot.classes.size(), 1u);
-  EXPECT_GE(snapshot.classes[0].cell(profile::Cell::small_population), 64u);
-}
-
-// ---------------------------------------------------------------------------
 // Hints text round-trip and hint-derived plan behaviour.
 
 TEST(ProfileHints, TextRoundTrip) {
   profile::PlanHints hints;
-  hints.classes.push_back({"mac.fs open", 128, 0, 1});  // space in the name
-  hints.classes.push_back({"proc.setuid", 16, -1, -1});
+  hints.classes.push_back({"mac.fs open", 128, 1});  // space in the name
+  hints.classes.push_back({"proc.setuid", 16, -1});
   const std::string text = profile::HintsToText(hints);
+  EXPECT_NE(text.find("# tesla plan hints v2"), std::string::npos);
   auto parsed = profile::ParseHints(text);
   ASSERT_TRUE(parsed.ok()) << parsed.error().ToString();
   ASSERT_EQ(parsed.value().classes.size(), 2u);
   EXPECT_EQ(parsed.value().classes[0].name, "mac.fs open");
   EXPECT_EQ(parsed.value().classes[0].capacity, 128u);
-  EXPECT_EQ(parsed.value().classes[0].min_population, 0);
   EXPECT_EQ(parsed.value().classes[0].prefix_key_pos, 1);
   EXPECT_EQ(parsed.value().classes[1].name, "proc.setuid");
-  EXPECT_EQ(parsed.value().classes[1].min_population, -1);
+  EXPECT_EQ(parsed.value().classes[1].prefix_key_pos, -1);
+  EXPECT_EQ(profile::HintsToText(parsed.value()), text);
 
   EXPECT_FALSE(profile::ParseHints("class nonsense").ok());
   EXPECT_TRUE(profile::ParseHints("# comment only\n\n").ok());
 }
 
-TEST(ProfileHints, SnapshotDistillsGatedScansIntoHints) {
+TEST(ProfileHints, MalformedLinesAreErrorsWithTheirLine) {
+  const std::string good = "class 1:a capacity=16 prefix_key_pos=-1\n";
+  ASSERT_TRUE(profile::ParseHints(good).ok());
+  const char* bad[] = {
+      // A negative or wrapping name length.
+      "class -1:a capacity=16 prefix_key_pos=-1",
+      "class 18446744073709551615:a capacity=16 prefix_key_pos=-1",
+      "class 99999999:a capacity=16 prefix_key_pos=-1",
+      "class +1:a capacity=16 prefix_key_pos=-1",
+      "class :a capacity=16 prefix_key_pos=-1",
+      "class 5:a capacity=16 prefix_key_pos=-1",
+      // prefix_key_pos below -1 or past the tracked key variables.
+      "class 1:a capacity=16 prefix_key_pos=-2",
+      "class 1:a capacity=16 prefix_key_pos=4",
+      "class 1:a capacity=16 prefix_key_pos=--1",
+      "class 1:a capacity=16 prefix_key_pos=",
+      // capacity negative, signed, spaced or too large.
+      "class 1:a capacity=-1 prefix_key_pos=-1",
+      "class 1:a capacity=+16 prefix_key_pos=-1",
+      "class 1:a capacity= 16 prefix_key_pos=-1",
+      "class 1:a capacity=1048577 prefix_key_pos=-1",
+      "class 1:a capacity=99999999999999999999 prefix_key_pos=-1",
+      // Fields out of order, missing, or followed by anything.
+      "class 1:a prefix_key_pos=-1 capacity=16",
+      "class 1:a capacity=16",
+      "class 1:a capacity=16 prefix_key_pos=-1 ",
+      "class 1:a capacity=16 prefix_key_pos=-1 extra=1",
+      "class 1:a capacity=16 prefix_key_pos=-1\r",
+  };
+  for (const char* line : bad) {
+    auto parsed = profile::ParseHints(good + line + "\n");
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.error().line, 2) << line;
+    EXPECT_GE(parsed.error().column, 1) << line;
+  }
+
+  // A v1 line names the retired population-gate field: a clear error, not a
+  // misparse of its remaining fields.
+  auto v1 = profile::ParseHints(
+      "# tesla plan hints v1\nclass 1:a capacity=16 min_population=0 prefix_key_pos=-1\n");
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.error().line, 2);
+  EXPECT_NE(v1.error().message.find("min_population"), std::string::npos);
+}
+
+TEST(ProfileHints, MutatedHintsTextNeverMisbehaves) {
+  // Byte mutations of a multi-class hints file: every mutant either parses
+  // into in-range hints that re-emit and re-parse to the same hints, or is
+  // an Error naming a line of the mutant. Clean under ASan/UBSan.
+  profile::PlanHints hints;
+  hints.classes.push_back({"mac.fs open", 128, 1});
+  hints.classes.push_back({"proc.setuid", 16, -1});
+  hints.classes.push_back({"x", 1048576, 3});
+  const std::string seed = profile::HintsToText(hints);
+  const std::string splices[] = {"-", "+", ":", " ", "=", "\n", "#", "0", "9", "-1",
+                                 "18446744073709551616", "4294967295", "class "};
+  size_t accepted = 0;
+  for (uint64_t round = 0; round < 20000; round++) {
+    uint64_t rng = HashU64(round + 1);
+    std::string text = seed;
+    const int edits = 1 + static_cast<int>(rng % 3);
+    for (int e = 0; e < edits; e++) {
+      rng = HashU64(rng);
+      const size_t pos = text.empty() ? 0 : static_cast<size_t>(rng >> 8) % text.size();
+      switch (rng % 4) {
+        case 0:  // overwrite a byte
+          if (!text.empty()) text[pos] = static_cast<char>(rng >> 40);
+          break;
+        case 1:  // splice a digit or separator
+          text.insert(pos, splices[(rng >> 40) % std::size(splices)]);
+          break;
+        case 2:  // erase a run
+          text.erase(pos, static_cast<size_t>(rng >> 50) % 8);
+          break;
+        case 3:  // insert a number
+          text.insert(pos, std::to_string(static_cast<int64_t>(rng) >> (rng % 64)));
+          break;
+      }
+    }
+    auto parsed = profile::ParseHints(text);
+    if (!parsed.ok()) {
+      const int lines = static_cast<int>(std::count(text.begin(), text.end(), '\n')) + 1;
+      ASSERT_GE(parsed.error().line, 1) << text;
+      ASSERT_LE(parsed.error().line, lines) << text;
+      continue;
+    }
+    accepted++;
+    for (const profile::ClassHint& hint : parsed.value().classes) {
+      ASSERT_LE(hint.capacity, 1u << 20) << text;
+      ASSERT_GE(hint.prefix_key_pos, -1) << text;
+      ASSERT_LT(hint.prefix_key_pos, static_cast<int32_t>(profile::kMaxKeyVars)) << text;
+    }
+    auto again = profile::ParseHints(profile::HintsToText(parsed.value()));
+    ASSERT_TRUE(again.ok()) << text;
+    ASSERT_EQ(profile::HintsToText(again.value()), profile::HintsToText(parsed.value())) << text;
+  }
+  EXPECT_GT(accepted, 0u);  // some mutants (comment edits, digit swaps) stay valid
+}
+
+TEST(ProfileHints, SnapshotDistillsHints) {
+  // Scans under the population gate teach nothing about the key: only the
+  // capacity hint comes out.
   profile::Snapshot snapshot;
-  profile::ClassProfile cls;
-  cls.name = "gated";
-  cls.key_vars = {0};
-  cls.cells[static_cast<size_t>(profile::Cell::dispatches)] = 1000;
-  cls.cells[static_cast<size_t>(profile::Cell::scan_fallbacks)] = 900;
-  cls.cells[static_cast<size_t>(profile::Cell::small_population)] = 900;
-  cls.cells[static_cast<size_t>(profile::Cell::fanout_peak)] = 24;
-  snapshot.classes.push_back(cls);
+  profile::ClassProfile gated;
+  gated.name = "gated";
+  gated.key_vars = {0};
+  gated.cells[static_cast<size_t>(profile::Cell::dispatches)] = 1000;
+  gated.cells[static_cast<size_t>(profile::Cell::scan_fallbacks)] = 900;
+  gated.cells[static_cast<size_t>(profile::Cell::fanout_peak)] = 24;
+  snapshot.classes.push_back(gated);
+  // Scans dominated by partially-bound dispatches that bind the second key
+  // variable: key the index on it.
+  profile::ClassProfile partial;
+  partial.name = "partial";
+  partial.key_vars = {0, 1};
+  partial.cells[static_cast<size_t>(profile::Cell::dispatches)] = 1000;
+  partial.cells[static_cast<size_t>(profile::Cell::scan_fallbacks)] = 900;
+  partial.cells[static_cast<size_t>(profile::Cell::partial_bound)] = 800;
+  partial.cells[static_cast<size_t>(profile::Cell::fanout_peak)] = 100;
+  partial.var_partial[0] = 10;
+  partial.var_partial[1] = 700;
+  snapshot.classes.push_back(partial);
 
   const profile::PlanHints hints = profile::HintsFromSnapshot(snapshot);
-  ASSERT_EQ(hints.classes.size(), 1u);
-  EXPECT_EQ(hints.classes[0].min_population, 0);    // turn the probe back on
-  EXPECT_GE(hints.classes[0].capacity, 48u);        // ≥ 2× the observed peak
-  EXPECT_EQ(hints.classes[0].prefix_key_pos, -1);   // scans weren't partial-bound
+  ASSERT_EQ(hints.classes.size(), 2u);
+  EXPECT_GE(hints.classes[0].capacity, 48u);       // ≥ 2× the observed peak
+  EXPECT_EQ(hints.classes[0].prefix_key_pos, -1);  // scans weren't partial-bound
+  EXPECT_EQ(hints.classes[1].prefix_key_pos, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -228,8 +228,7 @@ TEST(TraceFormat, BinaryRoundTrip) {
   trace::TraceFile written;
   written.origin = "test:format";
   written.options = options;
-  written.index_min_population = 3;
-  written.plan_hints.classes.push_back({"format class", 12, 0, 1});
+  written.plan_hints.classes.push_back({"format class", 12, 1});
   written.manifest_text = "format-manifest";
   for (Symbol symbol = 0; symbol < GlobalInterner().size(); symbol++) {
     written.symbols.push_back(GlobalInterner().Spelling(symbol));
@@ -242,11 +241,9 @@ TEST(TraceFormat, BinaryRoundTrip) {
   ASSERT_TRUE(read.ok()) << read.error().ToString();
   const trace::TraceFile& file = read.value();
   EXPECT_EQ(file.origin, "test:format");
-  EXPECT_EQ(file.index_min_population, 3u);
   ASSERT_EQ(file.plan_hints.classes.size(), 1u);
   EXPECT_EQ(file.plan_hints.classes[0].name, "format class");
   EXPECT_EQ(file.plan_hints.classes[0].capacity, 12u);
-  EXPECT_EQ(file.plan_hints.classes[0].min_population, 0);
   EXPECT_EQ(file.plan_hints.classes[0].prefix_key_pos, 1);
   EXPECT_EQ(file.manifest_text, "format-manifest");
   EXPECT_EQ(file.options.lazy_init, options.lazy_init);
@@ -353,72 +350,78 @@ TEST(TraceReplay, SslsimCaptureRoundTrips) {
   std::remove(path.c_str());
 }
 
-// The plan inputs beyond CaptureOptions — index_min_population and the
-// plan hints — decide index probes against scans and the pool size, so a
-// hinted capture replays exactly only if it carries them.
+// The plan input beyond CaptureOptions — the plan hints — decides index
+// probes against scans (the index key) and the pool size, so a hinted
+// capture replays exactly only if it carries them.
 TEST(TraceReplay, HintedCaptureRoundTrips) {
   SetLogLevel(LogLevel::kSilent);
   const std::string path = TempPath("tesla_hinted_roundtrip.trace");
   RuntimeOptions options = TestOptions(trace::TraceMode::kFullCapture);
   options.profile = true;
-  options.index_min_population = 3;
-  options.plan_hints.classes.push_back({"hinted", 40, 0, 0});
+  options.plan_hints.classes.push_back({"hinted", 40, 0});
+  RuntimeOptions unhinted_options = options;
+  unhinted_options.trace_mode = trace::TraceMode::kOff;
+  unhinted_options.plan_hints = {};
   Runtime rt(options);
-  // "gated" has no hint, so the global gate (3, not the default 8) decides
-  // whether its handful of live instances is probed or scanned.
+  Runtime unhinted(unhinted_options);
+  // "hinted" keys its index on x, so its x-only sites probe once its
+  // population passes the gate; "plain" has no hint and keys on x anyway.
   automata::Manifest manifest;
   for (const auto& [name, source] :
        {std::pair{"hinted", "TESLA_WITHIN(syscall, previously(pair(x, y) == 0))"},
-        std::pair{"gated", "TESLA_WITHIN(syscall, previously(check(x) == 0))"}}) {
+        std::pair{"plain", "TESLA_WITHIN(syscall, previously(check(x) == 0))"}}) {
     auto automaton = CompileAssertion(source, {}, name);
     ASSERT_TRUE(automaton.ok());
     manifest.Add(std::move(automaton.value()));
   }
   ASSERT_TRUE(rt.Register(manifest).ok());
+  ASSERT_TRUE(unhinted.Register(manifest).ok());
   const uint32_t id = static_cast<uint32_t>(rt.FindAutomaton("hinted"));
-  const uint32_t gated = static_cast<uint32_t>(rt.FindAutomaton("gated"));
-  ThreadContext ctx(rt);
+  const uint32_t plain = static_cast<uint32_t>(rt.FindAutomaton("plain"));
 
+  // Clone events outweigh bound entry and exit 10:1, so bounds grow past
+  // the index population gate.
+  std::vector<Event> events;
   uint64_t rng = 12345;
-  for (int round = 0; round < 400; round++) {
+  for (int round = 0; round < 800; round++) {
     rng = rng * 6364136223846793005ull + 1;
     const int64_t x = static_cast<int64_t>((rng >> 40) % 4);
     const int64_t y = static_cast<int64_t>((rng >> 45) % 4);
     int64_t args[] = {x, y};
     Binding full[] = {{0, x}, {1, y}};
     Binding partial[] = {{0, x}};
-    switch ((rng >> 33) % 7) {
-      case 0:
-        rt.OnFunctionCall(ctx, S("syscall"), {});
-        break;
-      case 1:
-        rt.OnFunctionReturn(ctx, S("pair"), args, 0);
-        break;
-      case 2:
-        rt.OnAssertionSite(ctx, id, full);
-        break;
-      case 3:
-        rt.OnAssertionSite(ctx, id, partial);
-        break;
-      case 4:
-        rt.OnFunctionReturn(ctx, S("check"), args, 0);
-        break;
-      case 5:
-        rt.OnAssertionSite(ctx, gated, partial);
-        break;
-      default:
-        rt.OnFunctionReturn(ctx, S("syscall"), {}, 0);
-        break;
+    const uint64_t roll = (rng >> 33) % 48;
+    if (roll == 0) {
+      events.push_back(Event::Call(S("syscall"), {}));
+    } else if (roll < 21) {
+      events.push_back(Event::Return(S("pair"), args, 0));
+    } else if (roll < 27) {
+      events.push_back(Event::Site(id, full));
+    } else if (roll < 33) {
+      events.push_back(Event::Site(id, partial));
+    } else if (roll < 41) {
+      events.push_back(Event::Return(S("check"), args, 0));
+    } else if (roll < 47) {
+      events.push_back(Event::Site(plain, partial));
+    } else {
+      events.push_back(Event::Return(S("syscall"), {}, 0));
     }
   }
-  ASSERT_GT(rt.stats().index_probes, 0u);
+  ThreadContext ctx(rt);
+  ThreadContext unhinted_ctx(unhinted);
+  for (const Event& event : events) {
+    rt.OnEvent(ctx, event);
+    unhinted.OnEvent(unhinted_ctx, event);
+  }
+  // The hint moved x-only sites from scans to probes.
+  ASSERT_GT(rt.stats().index_probes, unhinted.stats().index_probes);
   ASSERT_TRUE(trace::WriteCapture(path, "test:hinted", rt).ok());
 
   auto read = trace::TraceFile::Read(path);
   ASSERT_TRUE(read.ok()) << read.error().ToString();
-  EXPECT_EQ(read.value().index_min_population, 3u);
   ASSERT_EQ(read.value().plan_hints.classes.size(), 1u);
   EXPECT_EQ(read.value().plan_hints.classes[0].capacity, 40u);
+  EXPECT_EQ(read.value().plan_hints.classes[0].prefix_key_pos, 0);
 
   auto replayed = trace::ReplayFile(path);
   ASSERT_TRUE(replayed.ok()) << replayed.error().ToString();

@@ -1,7 +1,7 @@
 // tesla-trace: inspect, replay, aggregate and live-attach TESLA captures.
 //
-//   tesla-trace dump    <file>          print the plan (options, gate,
-//                                       hints) and every record
+//   tesla-trace dump    <file>          print the plan (options, hints)
+//                                       and every record
 //   tesla-trace stats   <file>          print the capture's semantic summary
 //                                       and, when a metrics section is
 //                                       embedded, the per-class counters,
@@ -155,9 +155,8 @@ void PrintSummary(const TraceFile& file) {
 
 int Dump(const TraceFile& file) {
   PrintHeader(file);
-  // The plan inputs replay applies beyond the options line; the hints print
-  // in the --plan-hints file format.
-  std::printf("index_min_population: %" PRIu64 "\n", file.index_min_population);
+  // The plan input replay applies beyond the options line, in the
+  // --plan-hints file format.
   std::printf("plan hints:\n%s", profile::HintsToText(file.plan_hints).c_str());
   // Resolve against the file's own symbol table — dumping never requires the
   // dumping process to know the capture's automata.
@@ -264,7 +263,15 @@ int Attach(const std::string& shm_name, const std::string& manifest_path,
       return ManifestForOrigin(origin_override);
     }
     if (!subscriber.info().manifest_text.empty()) {
-      return automata::Manifest::Deserialize(subscriber.info().manifest_text);
+      Result<automata::Manifest> embedded =
+          automata::Manifest::Deserialize(subscriber.info().manifest_text);
+      if (!embedded.ok()) {
+        Error error = embedded.error();
+        error.message = "segment manifest: " + error.message;
+        error.code = trace::kErrCorrupt;
+        return error;
+      }
+      return embedded;
     }
     return ManifestForOrigin(subscriber.info().origin);
   }();
